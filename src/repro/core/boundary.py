@@ -16,7 +16,10 @@ The boundary operators below support the *application* side of the paper
   the finite-Kn regimes D3Q39 exists to simulate.
 
 Operators are applied *after* streaming and *before* collision; each
-exposes ``apply(f_post_stream, f_pre_stream)``.
+exposes ``apply(f_post_stream, f_pre_stream)``.  The planned engine
+folds leading :class:`BounceBackWalls` into its streaming gather table
+instead (:func:`split_foldable`, :meth:`BounceBackWalls.fold_into`), so
+those walls cost no separate pass.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "BounceBackWalls",
     "DiffuseWallPair",
     "MovingWallBounceBack",
+    "split_foldable",
 ]
 
 
@@ -67,6 +71,27 @@ class BounceBackWalls(BoundaryCondition):
         self.solid_mask = np.asarray(self.solid_mask, dtype=bool)
         self._opposite = self.lattice.opposite
 
+    def fold_into(self, table: np.ndarray) -> None:
+        """Encode this operator in a flat pull gather table, in place.
+
+        ``table`` holds one source index per destination ``i * N +
+        flat(x)`` (:func:`~repro.core.plan.build_gather_table` and its
+        AoS twin).  :meth:`apply` sets ``f[i, s] = f[opp(i), s]`` on a
+        solid node ``s`` after streaming, so in pull form direction
+        ``i`` of ``s`` simply takes the source of ``opp(i)``, which is
+        population ``opp(i)`` of ``s + c_i``.  Gathering through the
+        folded table is then the same permutation as streaming followed
+        by :meth:`apply`: byte-identical, in one pass.
+        """
+        rows = table.reshape(self.lattice.q, -1)
+        if self.solid_mask.size != rows.shape[1]:
+            raise LatticeError(
+                f"solid mask shape {self.solid_mask.shape} does not fit a "
+                f"gather table over {rows.shape[1]} cells"
+            )
+        solid = self.solid_mask.reshape(-1)
+        rows[:, solid] = rows[self._opposite][:, solid]
+
     def apply(self, f_new: np.ndarray, f_old: np.ndarray) -> None:
         """Reverse all populations sitting on solid nodes."""
         if self.solid_mask.shape != f_new.shape[1:]:
@@ -75,6 +100,25 @@ class BounceBackWalls(BoundaryCondition):
             )
         solid = f_new[:, self.solid_mask]  # (Q, Nsolid)
         f_new[:, self.solid_mask] = solid[self._opposite]
+
+
+def split_foldable(
+    boundaries: "list[BoundaryCondition] | tuple[BoundaryCondition, ...]",
+) -> tuple[list[BounceBackWalls], list[BoundaryCondition]]:
+    """``(walls a gather table can absorb, operators that must still run)``.
+
+    Only the *leading* plain :class:`BounceBackWalls` entries fold: each
+    is a pure permutation of the streamed populations, so composing them
+    into the table keeps the order of application.  Subclasses
+    (:class:`MovingWallBounceBack` adds momentum) and anything at or
+    after the first non-foldable operator stay operators, because they
+    may read what the earlier ones wrote.
+    """
+    boundaries = list(boundaries)
+    n = 0
+    while n < len(boundaries) and type(boundaries[n]) is BounceBackWalls:
+        n += 1
+    return boundaries[:n], boundaries[n:]
 
 
 @dataclasses.dataclass

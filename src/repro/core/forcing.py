@@ -9,6 +9,12 @@ application examples).  The scheme adds a source term after collision::
 and shifts the velocity used in the equilibrium and in output by
 ``F/(2 rho)``, which removes the discrete lattice artifacts of naive
 forcing and is second-order accurate.
+
+Two implementations share these constants: the planned engine folds the
+update into its zero-allocation arena (:class:`~repro.core.plan.KernelPlan`,
+dense and sparse), and :meth:`GuoForcing.source_term` is the generic
+allocating form the oracle kernels (``roll``, ``fused-gather``,
+``naive``) collide with.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 
 from ..errors import LatticeError
 from ..lattice import VelocitySet
+from .moments import density, momentum
 
 __all__ = ["GuoForcing"]
 
@@ -49,6 +56,36 @@ class GuoForcing:
         """Half-force velocity correction ``F / (2 rho)``; shape (D, *S)."""
         shift = self._f_vec.reshape((self.lattice.dim,) + (1,) * rho.ndim)
         return shift / (2.0 * rho[None])
+
+    def collide(self, collision, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Generic Guo-forced BGK collision of ``f`` into ``out``.
+
+        Corrects the velocity by ``F/(2 rho)`` before building feq,
+        relaxes (the fusion shared with :meth:`BGKCollision.apply`), then
+        adds :meth:`source_term`.  Allocating; the oracle kernels and
+        the legacy pair collide through it, the planned engine does not.
+        """
+        rho = density(f)
+        u = momentum(self.lattice, f) / rho[None]
+        u += self.velocity_shift(rho)
+        feq = collision.equilibrium(rho, u)
+        collision.relax_into(f, feq, out)
+        out += self.source_term(u, collision.omega)
+        return out
+
+    def source_coefficients(self, omega: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-velocity constants of the source, float64, shape ``(Q,)``.
+
+        ``k_i = (1 - omega/2) w_i / cs2`` and ``cF_i = c_i . F``, so that
+        ``S_i = k_i (cF_i - u.F + cF_i (c_i . u) / cs2)`` — the same
+        source as :meth:`source_term`, factored into the constants the
+        planned engine casts once and replays row by row
+        (:class:`~repro.core.plan.KernelPlan`).
+        """
+        lat = self.lattice
+        k = (1.0 - 0.5 * omega) * lat.weights / lat.cs2_float
+        cF = lat.velocities_as(np.float64) @ self._f_vec
+        return k, cF
 
     def source_term(self, u: np.ndarray, omega: float) -> np.ndarray:
         """Guo source ``S_i`` given the corrected velocity ``u``.

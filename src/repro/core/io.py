@@ -38,6 +38,7 @@ import numpy as np
 
 from ..errors import LatticeError
 from ..lattice import get_lattice
+from .collision import BGKCollision
 from .simulation import Simulation
 
 __all__ = [
@@ -162,7 +163,7 @@ def render_response(kind: str, data: Any) -> str:
 # -- claim records ----------------------------------------------------------
 #
 # A claim file is a filesystem-level mutual-exclusion token: whoever
-# creates it (atomically, O_EXCL) owns the named resource until the
+# creates it (atomically, by hard link) owns the named resource until the
 # file is removed or the claim expires.  Distributed sweep workers use
 # them as per-variant lease files over a shared cache directory; the
 # primitives below are deliberately generic (any "resource" string,
@@ -204,18 +205,24 @@ class ClaimRecord:
 
 
 def write_claim(path: str | Path, record: ClaimRecord) -> bool:
-    """Atomically create the claim file; ``False`` if already claimed.
+    """Atomically publish the claim file; ``False`` if already claimed.
 
-    Uses ``O_CREAT | O_EXCL``, so of any number of concurrent callers
-    exactly one succeeds — including across NFS-style shared mounts.
+    The record is written to a uniquely named temp file first and then
+    hard-linked onto ``path``: ``link`` fails with ``FileExistsError``
+    when the claim exists, so of any number of concurrent callers
+    exactly one succeeds, and the claim file is never visible empty or
+    half-written (a contender reading a torn claim would take it for
+    stale and break a live lock).
     """
     path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    tmp.write_text(record.to_json())
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        os.link(tmp, path)
     except FileExistsError:
         return False
-    with os.fdopen(fd, "w") as handle:
-        handle.write(record.to_json())
+    finally:
+        tmp.unlink()
     return True
 
 
@@ -413,7 +420,7 @@ class CheckpointData:
     series: dict[str, list[float]] = dataclasses.field(default_factory=dict)
     dtype: str = "float64"
     #: Kernel name the writing simulation stepped with (None = the
-    #: legacy default pair).  Restores must match it: kernels agree
+    #: legacy stream/collide pair).  Restores must match it: kernels agree
     #: only to rounding, so a cross-kernel resume is not bit-exact.
     kernel: str | None = None
 
@@ -487,11 +494,20 @@ def load_checkpoint(path: str | Path) -> Simulation:
     case spec).
     """
     data = load_checkpoint_data(path)
+    lattice = get_lattice(data.lattice)
+    # A checkpoint without a kernel name came from the legacy pair;
+    # rebuild that pair (not the default engine) so the resume is exact.
+    collision = (
+        BGKCollision(lattice, data.tau, order=data.order)
+        if data.kernel is None
+        else None
+    )
     sim = Simulation(
-        get_lattice(data.lattice),
+        lattice,
         data.f.shape[1:],
         tau=data.tau,
         order=data.order,
+        collision=collision,
         dtype=data.dtype,
         kernel=data.kernel,
     )

@@ -10,16 +10,18 @@ kernels with identical semantics and very different machine behaviour:
   grids; serves as the executable specification the fast kernels are
   validated against.
 * :class:`RollKernel` — velocity-major vectorization: one
-  ``numpy.roll`` per velocity, then a fused vectorized collide.  This is
-  the production kernel (used by :class:`~repro.core.simulation.Simulation`).
+  ``numpy.roll`` per velocity, then a fused vectorized collide.  It
+  matches the legacy stream/collide pair bit for bit and serves as a
+  test oracle for the planned engine.
 * :class:`FusedGatherKernel` — stream and collide in one pass over a
   precomputed flat gather-index table (the Python analogue of the
   paper's loop-fusion/index-precomputation optimizations: indices
   computed once, no per-step index arithmetic).
 * :class:`~repro.core.plan.PlannedKernel` (in :mod:`repro.core.plan`) —
-  the ladder's endpoint: precomputed gather table *and* a preallocated
-  scratch arena, so a step makes zero heap allocations; also the kernel
-  that carries the float32/float64 dtype policy.
+  the ladder's endpoint and the driver's default engine: precomputed
+  gather table *and* a preallocated scratch arena, so a step makes zero
+  heap allocations, with bounce-back walls and Guo forcing fused in;
+  also the kernel that carries the float32/float64 dtype policy.
 
 Kernel selection (by name, or ``"auto"`` measured selection) lives in
 :func:`repro.core.plan.make_kernel`.  ``benchmarks/bench_kernels_real.py``

@@ -10,12 +10,16 @@ Python analogue — at construction it builds
   indices computed once per shape),
 * dtype-cast velocity/weight tables (cached per lattice, see
   :meth:`~repro.lattice.VelocitySet.velocities_as`),
-* a scratch arena (``adv``, ``rho``, ``u``, ``cu``, ``term``, ``work``,
-  ``cell``) sized for the grid,
+* a scratch arena of per-cell rows (``rho``, ``u``, ``cell``, ``cu``,
+  ``term``, ``tmp``; ``a1`` at third order, ``uF`` under forcing; plus
+  ``adv`` for the fused step) sized for the grid,
 
 so :meth:`PlannedKernel.step` performs the full stream + moments +
 equilibrium + relax update exclusively through ``out=`` ufunc calls:
 zero per-step heap allocations (tracemalloc-asserted in the tests).
+Bounce-back walls can be folded into the gather table and Guo forcing
+into the collision, which makes the plan the driver's one stepping
+engine for forced, walled flows as well.
 
 The plan also carries the **dtype policy**: built for float32, the
 whole update runs in single precision, halving the paper's
@@ -56,8 +60,10 @@ import numpy as np
 from ..errors import LatticeError
 from ..lattice import VelocitySet
 from ..telemetry.recorder import get_telemetry
+from .boundary import BounceBackWalls
 from .equilibrium import equilibrium_order_for
 from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
+from .forcing import GuoForcing
 from .kernels import FusedGatherKernel, LBMKernel, NaiveKernel, RollKernel
 from .streaming import pull_gather_rows
 
@@ -91,11 +97,12 @@ def build_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray
     shape = tuple(int(s) for s in shape)
     rows = pull_gather_rows(lattice, shape)  # (Q, N)
     n = rows.shape[1]
-    offsets = (np.arange(lattice.q) * n)[:, None]
+    for i in range(lattice.q):  # in place: no table-sized temporaries
+        rows[i] += i * n
     # Deliberately left writable: np.take(mode="clip") copies read-only
     # index arrays into a fresh buffer on every call, which would turn
     # each step into a hidden field-sized allocation.
-    return np.ascontiguousarray((rows + offsets).reshape(-1))
+    return rows.reshape(-1)
 
 
 def build_aos_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray:
@@ -111,8 +118,10 @@ def build_aos_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.nda
     """
     shape = tuple(int(s) for s in shape)
     rows = pull_gather_rows(lattice, shape)  # (Q, N) spatial source index
-    table = rows * lattice.q + np.arange(lattice.q, dtype=rows.dtype)[:, None]
-    return np.ascontiguousarray(table.reshape(-1))
+    rows *= lattice.q
+    for i in range(lattice.q):
+        rows[i] += i
+    return rows.reshape(-1)
 
 
 def build_slab_gather_table(
@@ -182,6 +191,8 @@ class KernelPlan:
         dtype: "np.dtype | str | None" = None,
         gather: np.ndarray | None = None,
         layout: str | None = None,
+        walls: "Sequence[BounceBackWalls]" = (),
+        forcing: "GuoForcing | None" = None,
     ) -> None:
         self.lattice = lattice
         self.shape = tuple(int(s) for s in shape)
@@ -210,6 +221,17 @@ class KernelPlan:
                 else build_gather_table
             )
             gather = builder(lattice, self.shape)
+            for wall in walls:
+                if wall.solid_mask.shape != self.shape:
+                    raise LatticeError(
+                        f"solid mask shape {wall.solid_mask.shape} != grid "
+                        f"{self.shape}"
+                    )
+                wall.fold_into(gather)
+        elif walls:
+            raise LatticeError(
+                "walls fold only into the plan's own periodic gather table"
+            )
         self.gather = gather
         # AoS exit path: the collision writes a contiguous (Q, N) scratch
         # and one take through this transpose permutation scatters it
@@ -235,24 +257,55 @@ class KernelPlan:
         # besides the caller's field itself.  The post-streaming buffer
         # `adv` serves only the fused step_into path (the split
         # stream/collide path streams into the caller's own buffer), so
-        # it is allocated lazily on the first fused step.
+        # it is allocated lazily on the first fused step.  Everything
+        # else is one row per cell: the collision walks the velocities
+        # row by row, so no (Q, N) temporary exists at all.
         self._adv: np.ndarray | None = None
         self._adv_flat: np.ndarray | None = None
         self.rho = np.empty(n, dtype=self.dtype)  # density
         self.u = np.empty((lattice.dim, n), dtype=self.dtype)  # velocity
-        self.cu = np.empty((q, n), dtype=self.dtype)  # c_i . u
-        self.term = np.empty((q, n), dtype=self.dtype)  # Hermite series / feq
-        self.work = np.empty((q, n), dtype=self.dtype)  # (Q, N) scratch
-        self.cell = np.empty(n, dtype=self.dtype)  # per-cell scratch (u^2)
-        # Row views + scalar weights, prebuilt so the hot loop's
-        # per-velocity operations are same-shape contiguous ufunc calls.
-        # Broadcast in-place ops ((Q, N) ⊙ (N,)) would be correct too,
-        # but numpy routes them through its ufunc buffer whenever N is
-        # below the buffer size — a per-step heap allocation.
+        self.cell = np.empty(n, dtype=self.dtype)  # u^2, then a0
+        self.a1 = (  # third-order coefficient
+            np.empty(n, dtype=self.dtype) if self.order >= 3 else None
+        )
+        self.cu = np.empty(n, dtype=self.dtype)  # c_i . u, one velocity
+        self.term = np.empty(n, dtype=self.dtype)  # feq_i, one velocity
+        self.tmp = np.empty(n, dtype=self.dtype)  # per-cell scratch
         self._u_rows = tuple(self.u[a] for a in range(lattice.dim))
-        self._term_rows = tuple(self.term[i] for i in range(q))
-        self._work_rows = tuple(self.work[i] for i in range(q))
-        self._w_scalars = tuple(float(w) for w in self.w)
+        # c_i . u as (u row, component) pairs over the non-zero
+        # components, split into (first, rest), so the per-velocity dot
+        # product is one or two same-shape ufunc calls (or none: a lone
+        # +1 component reads its u row directly).
+        self._cu_terms = tuple(
+            (terms[0], terms[1:]) if terms else None
+            for terms in (
+                tuple(
+                    (self._u_rows[a], float(c[a]))
+                    for a in range(lattice.dim)
+                    if c[a] != 0
+                )
+                for c in lattice.velocities
+            )
+        )
+        # Guo forcing: one extra per-cell row for u.F, plus per-axis force
+        # scalars cast once.
+        self.forcing = forcing
+        self.uF: np.ndarray | None = None
+        if forcing is not None:
+            if forcing.lattice.dim != lattice.dim:
+                raise LatticeError("forcing lattice does not match the plan's")
+            force = np.asarray(forcing.force, dtype=np.float64)
+            self.uF = np.empty(n, dtype=self.dtype)
+            # Zero components add nothing; skipping them skips their passes.
+            self._force_axes = tuple(
+                (self._u_rows[a], _as_scalar(force[a], self.dtype),
+                 _as_scalar(0.5 * force[a], self.dtype))
+                for a in range(lattice.dim)
+                if force[a] != 0.0
+            )
+        # omega-dependent per-velocity constants (see _constants).
+        self._omega: float | None = None
+        self._consts: tuple = ()
 
     @classmethod
     def for_window(
@@ -292,12 +345,14 @@ class KernelPlan:
             self.gather,
             self.rho,
             self.u,
+            self.cell,
             self.cu,
             self.term,
-            self.work,
-            self.cell,
+            self.tmp,
         )
-        extra = 0 if self._adv is None else self._adv.nbytes
+        extra = sum(
+            a.nbytes for a in (self._adv, self.a1, self.uF) if a is not None
+        )
         if self._aos_out is not None:
             extra += self._aos_out.nbytes + self._soa_index.nbytes
         return int(sum(a.nbytes for a in arrays)) + extra
@@ -365,53 +420,142 @@ class KernelPlan:
         ``src`` may be the arena's own ``adv`` (the fused path) or any
         ``(Q, N)`` view of a caller-owned buffer (the split path the
         simulation driver uses so boundary conditions can run between
-        streaming and collision).  ``src`` is read-only here; the result
-        is ``(1 - omega) src + omega feq(src)``.
-        """
-        rho, u, cu = self.rho, self.u, self.cu
-        term, work, cell = self.term, self.work, self.cell
-        cs2 = self.lattice.cs2_float
-        inv_cs2 = 1.0 / cs2
+        streaming and collision); ``out_flat`` may be ``src`` itself.
+        The result is ``(1 - omega) src + omega feq(src)``.
 
-        # moments: rho = sum_i f_i ; u = c^T f / rho
+        After the moments, the update walks the velocities one row at a
+        time (loop fusion in the paper's sense): ``c_i . u``, the
+        Hermite series, feq and the relaxation of row ``i`` all run on
+        per-cell rows that stay in cache, instead of streaming several
+        (Q, N) temporaries through memory.
+
+        With Guo forcing the velocity is ``u = (c^T f + F/2) / rho`` and
+        the source ``S_i = k_i (cF_i - u.F + cF_i cu_i / cs2)``, with
+        ``k_i = (1 - omega/2) w_i / cs2``, is added to each row.
+        """
+        rho, u, cell, a1 = self.rho, self.u, self.cell, self.a1
+        cu, term, tmp = self.cu, self.term, self.tmp
+        inv_cs2 = 1.0 / self.lattice.cs2_float
+        half_inv2 = 0.5 * inv_cs2 * inv_cs2
+        order = self.order
+        forced = self.forcing is not None
+        gamma, consts = self._constants(omega)
+
+        # moments: rho = sum_i f_i ; u = (c^T f [+ F/2]) / rho
         src.sum(axis=0, out=rho)
         np.dot(self.c_t, src, out=u)
+        if forced:
+            for u_row, _, half in self._force_axes:
+                u_row += half
         for u_row in self._u_rows:  # u /= rho without broadcast buffering
             u_row /= rho
-        # cu_i = c_i . u, then u is free: square it in place for u^2
-        np.dot(self.c, u, out=cu)
-        np.multiply(u, u, out=u)
-        u.sum(axis=0, out=cell)  # cell = u^2
+        if forced:
+            # gamma u.F, the part of -k_i u.F that rides the feq weight
+            uF = self.uF
+            uF.fill(0.0)
+            for u_row, force, _ in self._force_axes:
+                np.multiply(u_row, force, out=tmp)
+                uF += tmp
+            uF *= gamma
+        # Per-cell coefficients of the Hermite series (paper Eqs. 2/3)
+        # in Horner form over cu: T = a0 + a1 cu + a2 cu^2 + a3 cu^3 with
+        # a0 = 1 - u^2/(2 cs2), a1 = 1/cs2 - u^2/(2 cs2^2) (third order),
+        # a2 = 1/(2 cs2^2), a3 = 1/(6 cs2^3); first order is 1 + cu/cs2.
+        if order >= 2:
+            cell.fill(0.0)
+            for u_row in self._u_rows:
+                np.multiply(u_row, u_row, out=tmp)
+                cell += tmp
+            if order >= 3:
+                np.multiply(cell, -half_inv2, out=a1)
+                a1 += inv_cs2
+            cell *= -0.5 * inv_cs2
+            cell += 1.0
 
-        # Hermite series at the plan's order (paper Eqs. 2/3)
-        np.multiply(cu, inv_cs2, out=work)  # work = cu/cs2
-        if self.order >= 2:
-            np.multiply(work, work, out=term)  # (cu/cs2)^2
-            term *= 0.5
-            term += work
-            term += 1.0
-            cell *= 0.5 * inv_cs2  # cell = u^2/(2 cs2)
-            for term_row in self._term_rows:
-                term_row -= cell
-        else:
-            np.add(work, 1.0, out=term)
-        if self.order >= 3:
-            cell *= 6.0 * cs2  # cell = 3 u^2 (undoes the 1/(2 cs2))
-            np.multiply(cu, cu, out=work)
-            work *= inv_cs2  # cu^2/cs2
-            for work_row in self._work_rows:
-                work_row -= cell
-            work *= cu
-            work *= inv_cs2 * inv_cs2 / 6.0
-            term += work
+        one_minus = 1.0 - omega
+        for i, (cu_terms, omega_w, s_cu, s_0) in enumerate(consts):
+            # cu = c_i . u (None for the rest velocity)
+            if cu_terms is None:
+                cu_i = None
+            elif not cu_terms[1] and cu_terms[0][1] == 1.0:
+                cu_i = cu_terms[0][0]  # read-only below
+            else:
+                cu_i = cu
+                (u_row, c), rest = cu_terms
+                np.multiply(u_row, c, out=cu)
+                for u_row, c in rest:
+                    if c == 1.0:
+                        cu += u_row
+                    elif c == -1.0:
+                        cu -= u_row
+                    else:
+                        np.multiply(u_row, c, out=tmp)
+                        cu += tmp
+            # term = T_i rho (Horner)
+            if cu_i is None:
+                if order >= 2:
+                    np.multiply(cell, rho, out=term)
+                else:
+                    np.copyto(term, rho)
+            else:
+                if order == 1:
+                    np.multiply(cu_i, inv_cs2, out=term)
+                    term += 1.0
+                else:
+                    if order >= 3:
+                        np.multiply(cu_i, inv_cs2 * half_inv2 / 3.0, out=term)
+                        term += half_inv2
+                        term *= cu_i
+                        term += a1
+                    else:
+                        np.multiply(cu_i, half_inv2, out=term)
+                        term += inv_cs2
+                    term *= cu_i
+                    term += cell
+                term *= rho
+            # omega feq_i, plus the Guo source:
+            # omega w_i (rho T_i - gamma u.F) + s_0 + s_cu cu_i
+            if forced:
+                term -= uF
+            term *= omega_w
+            if s_0:
+                np.multiply(cu_i, s_cu, out=tmp)
+                tmp += s_0
+                term += tmp
+            # out_i = (1 - omega) src_i + term (src_i read before written)
+            out_row = out_flat[i]
+            np.multiply(src[i], one_minus, out=out_row)
+            out_row += term
 
-        # feq = w rho term (into term), then out = (1-omega) src + omega feq
-        for term_row, weight in zip(self._term_rows, self._w_scalars):
-            term_row *= weight
-            term_row *= rho
-        np.multiply(src, 1.0 - omega, out=out_flat)
-        term *= omega
-        out_flat += term
+    def _constants(self, omega: float) -> tuple:
+        """Per-velocity constants for ``omega``, cast once to the dtype.
+
+        ``(gamma, rows)``: ``gamma = (1 - omega/2) / (omega cs2)`` and,
+        per velocity, ``(cu terms, omega w_i, s_cu, s_0)`` with the Guo
+        source coefficients ``s_cu = k_i cF_i / cs2`` and
+        ``s_0 = k_i cF_i`` (both zero without forcing or where
+        ``c_i . F = 0``).  Rebuilt only when ``omega`` changes.
+        """
+        if omega != self._omega:
+            q = self.lattice.q
+            cs2 = self.lattice.cs2_float
+            if self.forcing is None:
+                k, cF = np.zeros(q), np.zeros(q)
+            else:
+                k, cF = self.forcing.source_coefficients(omega)
+            rows = tuple(
+                (
+                    self._cu_terms[i],
+                    _as_scalar(omega * self.lattice.weights[i], self.dtype),
+                    _as_scalar(k[i] * cF[i] / cs2, self.dtype),
+                    _as_scalar(k[i] * cF[i], self.dtype),
+                )
+                for i in range(q)
+            )
+            gamma = (1.0 - 0.5 * omega) / (omega * cs2)
+            self._consts = (_as_scalar(gamma, self.dtype), rows)
+            self._omega = omega
+        return self._consts
 
     def step_into(self, f: np.ndarray, omega: float) -> np.ndarray:
         """One fused stream+collide step, result written back into ``f``."""
@@ -419,6 +563,12 @@ class KernelPlan:
         self.stream_into(f, adv_flat)
         self.collide_native(adv, f, omega)
         return f
+
+
+def _as_scalar(value: float, dtype: np.dtype) -> float:
+    """``value`` rounded to ``dtype``, as the Python float the hot loop
+    multiplies by (in-place ufuncs keep the array's dtype)."""
+    return float(np.asarray(value, dtype=dtype))
 
 
 class PlannedKernel(LBMKernel):
@@ -429,6 +579,11 @@ class PlannedKernel(LBMKernel):
     step.  Input populations must match the kernel's dtype — silently
     casting would reintroduce exactly the hidden full-lattice copies
     this kernel exists to eliminate.
+
+    :meth:`fuse` turns it into the stepping engine for forced, walled
+    flows: full-way bounce-back walls fold into the gather table and
+    Guo forcing into the collision, both inside the zero-allocation
+    plan.
     """
 
     name = "planned"
@@ -445,15 +600,30 @@ class PlannedKernel(LBMKernel):
         super().__init__(lattice, tau, order)
         self.dtype = resolve_dtype(dtype)
         self.layout = resolve_layout(layout)
+        self.walls: tuple[BounceBackWalls, ...] = ()
+        self.forcing: GuoForcing | None = None
         self._plan: KernelPlan | None = None
         if shape is not None:
-            self._plan = KernelPlan(
-                lattice,
-                shape,
-                order=self.collision.order,
-                dtype=self.dtype,
-                layout=self.layout,
-            )
+            self.plan_for(shape)
+
+    def fuse(
+        self,
+        walls: Sequence[BounceBackWalls] = (),
+        forcing: GuoForcing | None = None,
+    ) -> None:
+        """Fold bounce-back ``walls`` and Guo ``forcing`` into the plan.
+
+        The streamed array then already carries the walls (applied in
+        the given order, see
+        :meth:`~repro.core.boundary.BounceBackWalls.fold_into`), and
+        :meth:`collide` adds the force.  A plan already built is rebuilt
+        for the same shape.
+        """
+        self.walls = tuple(walls)
+        self.forcing = forcing
+        if self._plan is not None:
+            shape, self._plan = self._plan.shape, None
+            self.plan_for(shape)
 
     def plan_for(self, shape: Sequence[int]) -> KernelPlan:
         """The plan for ``shape``, rebuilding only on a shape change."""
@@ -465,6 +635,8 @@ class PlannedKernel(LBMKernel):
                 order=self.collision.order,
                 dtype=self.dtype,
                 layout=self.layout,
+                walls=self.walls,
+                forcing=self.forcing,
             )
         return self._plan
 
@@ -542,9 +714,10 @@ KERNELS: dict[str, type[LBMKernel]] = {
 #: The sentinel name that triggers measured auto-selection.
 AUTO_KERNEL = "auto"
 
-#: What ``Simulation`` uses when no kernel is requested (the legacy
-#: roll-stream + fused-collide production pair).
-DEFAULT_KERNEL = "roll"
+#: What ``Simulation`` runs when neither a kernel nor a custom
+#: collision is requested: the planned engine, with walls and forcing
+#: fused into it.
+DEFAULT_KERNEL = "planned"
 
 #: Candidates ``kernel="auto"`` times.  NaiveKernel is excluded — it is
 #: the executable specification, O(minutes) beyond toy grids.

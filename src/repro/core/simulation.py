@@ -12,7 +12,9 @@ on one periodic domain (the distributed version lives in
 arrays (``distr`` / ``distr_adv``), applies boundary conditions between
 streaming and collision, couples an optional body force, and records
 wall-clock throughput in MFlup/s (million fluid lattice-point updates
-per second, paper Eq. 4).
+per second, paper Eq. 4).  By default it steps on the planned engine
+(:class:`~repro.core.plan.PlannedKernel`), which absorbs bounce-back
+walls and Guo forcing so a forced, walled step allocates nothing.
 """
 
 from __future__ import annotations
@@ -26,19 +28,24 @@ import numpy as np
 from ..errors import LatticeError, StabilityError
 from ..lattice import VelocitySet, get_lattice
 from ..telemetry.recorder import NullTelemetry, Telemetry, get_telemetry
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, split_foldable
 from .collision import BGKCollision
 from .fields import LAYOUT_SOA, DistributionField, resolve_dtype, resolve_layout
 from .forcing import GuoForcing
 from .kernels import LBMKernel
-from .moments import density, macroscopic, momentum
+from .moments import macroscopic
 from .streaming import stream_periodic
 
 __all__ = ["Simulation", "StepTimings"]
 
 
 class StepTimings:
-    """Cumulative wall-clock accounting for one simulation."""
+    """Cumulative wall-clock accounting for one simulation.
+
+    Bounce-back walls the planned engine folds into its gather table
+    are charged to ``stream_seconds``: they cost no separate pass, so
+    ``boundary_seconds`` counts only the operators that still run.
+    """
 
     def __init__(self) -> None:
         self.stream_seconds = 0.0
@@ -72,21 +79,32 @@ class Simulation:
         Hermite equilibrium order (``None`` = lattice native).
     collision:
         Custom collision operator exposing ``apply(f, out=None)`` and
-        ``omega``; default :class:`BGKCollision`.
+        ``omega`` (regularized BGK, MRT).  It runs on the legacy pair
+        (``stream_periodic`` + the operator); ``None`` means BGK on a
+        kernel.
     boundaries:
-        Boundary conditions applied after streaming, in order.
+        Boundary conditions applied after streaming, in order.  Under
+        the planned engine the leading plain
+        :class:`~repro.core.boundary.BounceBackWalls` are folded into
+        its gather table (see
+        :func:`~repro.core.boundary.split_foldable`); the rest run as
+        operators.
     forcing:
         Optional :class:`GuoForcing` body force (BGK collisions only).
+        The planned engine applies it inside its zero-allocation
+        collision; every other kernel and the legacy pair use the
+        generic Guo path (the test oracle).
     kernel:
         Which stream/collide implementation advances the populations: a
         registry name (``"roll"``, ``"fused-gather"``, ``"planned"``,
         ``"naive"``), ``"auto"`` (measured selection on this very
         shape/lattice/dtype), an :class:`~repro.core.kernels.LBMKernel`
-        instance, or ``None`` for the legacy default pair
-        (``stream_periodic`` + the collision operator).  Kernels own a
-        BGK collision, so ``kernel`` and a custom ``collision`` are
-        mutually exclusive; with ``forcing``, the kernel streams and
-        the Guo-forced collision path collides.
+        instance, or ``None``: the planned engine
+        (:data:`~repro.core.plan.DEFAULT_KERNEL`) unless a custom
+        ``collision`` is given.  Kernels own a BGK collision, so
+        ``kernel`` and a custom ``collision`` are mutually exclusive.
+        Walls and forcing are fused only into a planned kernel this
+        driver builds itself; a kernel *instance* is used as given.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"`` (halves B(Q) bytes per cell; see README).
@@ -95,9 +113,10 @@ class Simulation:
         (default, velocity-major — the paper's collision-optimized
         layout) or ``"aos"`` (cell-major, paper §IV's
         propagation-optimized alternative).  AoS requires the planned
-        kernel (its plan remaps the gather table per layout); results
-        are byte-identical per dtype because every layout transform is
-        an exact permutation and the collision arithmetic is shared.
+        kernel, the default (its plan remaps the gather table per
+        layout); results are byte-identical per dtype because every
+        layout transform is an exact permutation and the collision
+        arithmetic is shared.
     telemetry:
         Structured-event recorder (:class:`~repro.telemetry.Telemetry`).
         ``None`` uses the ambient recorder
@@ -126,16 +145,24 @@ class Simulation:
         self.dtype = resolve_dtype(dtype)
         self.layout = resolve_layout(layout)
         self.kernel: LBMKernel | None = None
-        if kernel is not None:
-            if collision is not None:
-                raise LatticeError(
-                    "kernel and collision are mutually exclusive: a kernel "
-                    "owns its own BGK collision operator"
-                )
-            from .plan import make_kernel  # late import: plan builds on kernels
+        self.boundaries = list(boundaries)
+        self.forcing = forcing
+        #: The boundaries :meth:`step` applies as operators (those not folded
+        #: into the planned kernel's gather table).
+        self.operators = self.boundaries
+        #: True when the kernel itself applies ``forcing``.
+        self._fused_forcing = False
+        if kernel is not None and collision is not None:
+            raise LatticeError(
+                "kernel and collision are mutually exclusive: a kernel "
+                "owns its own BGK collision operator"
+            )
+        if collision is None:
+            # late import: plan builds on kernels
+            from .plan import DEFAULT_KERNEL, PlannedKernel, make_kernel
 
             self.kernel = make_kernel(
-                kernel,
+                DEFAULT_KERNEL if kernel is None else kernel,
                 self.lattice,
                 tau,
                 order=order,
@@ -144,15 +171,20 @@ class Simulation:
                 layout=self.layout,
             )
             self.collision = self.kernel.collision
+            if isinstance(self.kernel, PlannedKernel) and not isinstance(
+                kernel, LBMKernel
+            ):
+                walls, self.operators = split_foldable(self.boundaries)
+                self.kernel.fuse(walls=walls, forcing=forcing)
+                self._fused_forcing = forcing is not None
         else:
             if self.layout != LAYOUT_SOA:
                 raise LatticeError(
-                    "layout='aos' requires a kernel (pass kernel='planned'); "
-                    "the legacy stream/collide pair is velocity-major only"
+                    "layout='aos' requires a kernel (the planned engine); a "
+                    "custom collision runs on the legacy stream/collide "
+                    "pair, which is velocity-major only"
                 )
-            self.collision = collision or BGKCollision(self.lattice, tau, order=order)
-        self.boundaries = list(boundaries)
-        self.forcing = forcing
+            self.collision = collision
         if forcing is not None and not isinstance(self.collision, BGKCollision):
             raise NotImplementedError("forcing is only coupled to BGK collisions")
         # The persistent field carries the layout; the advection scratch
@@ -222,21 +254,14 @@ class Simulation:
     # -- stepping -------------------------------------------------------------
 
     def _collide(self, f: np.ndarray, out: np.ndarray) -> None:
-        if self.forcing is None:
+        if self.forcing is None or self._fused_forcing:
             if self.kernel is not None:
                 self.kernel.collide(f, out=out)
             else:
                 self.collision.apply(f, out=out)
             return
-        # Guo-forced BGK: correct the velocity by F/2 before building feq,
-        # relax (shared fusion in BGKCollision.relax_into), then add the
-        # source term.
-        rho = density(f)
-        u = momentum(self.lattice, f) / rho[None]
-        u += self.forcing.velocity_shift(rho)
-        feq = self.collision.equilibrium(rho, u)
-        self.collision.relax_into(f, feq, out)
-        out += self.forcing.source_term(u, self.collision.omega)
+        # Generic Guo-forced BGK (the oracle path).
+        self.forcing.collide(self.collision, f, out)
 
     def step(self) -> None:
         """Advance one time step: stream, boundaries, collide."""
@@ -249,7 +274,7 @@ class Simulation:
         else:
             stream_periodic(self.lattice, f_old, out=f_new)
         t1 = time.perf_counter()
-        for bc in self.boundaries:
+        for bc in self.operators:
             bc.apply(f_new, f_old)
         t2 = time.perf_counter()
         self._collide(f_new, out=f_old)

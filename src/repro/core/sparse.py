@@ -50,6 +50,7 @@ from ..lattice import VelocitySet, get_lattice
 from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
+from .forcing import GuoForcing
 from .moments import density, momentum
 from .plan import (
     AUTO_KERNEL,
@@ -181,12 +182,14 @@ class _SparseKernel:
         tau: float,
         order: int | None = None,
         dtype: "np.dtype | str | None" = None,
+        forcing: GuoForcing | None = None,
     ) -> None:
         self.domain = domain
         self.lattice = domain.lattice
         self.tau = float(tau)
         self.dtype = resolve_dtype(dtype)
         self.collision = BGKCollision(self.lattice, tau, order=order)
+        self.forcing = forcing
 
     def step(self, f: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
@@ -197,7 +200,8 @@ class LegacySparseKernel(_SparseKernel):
 
     One fancy-index gather through the 2-D neighbor tables (allocates
     the streamed buffer), then :meth:`BGKCollision.apply` in place
-    (allocates its moment/equilibrium temporaries).
+    (allocates its moment/equilibrium temporaries) — or, with forcing,
+    the generic Guo collision :meth:`GuoForcing.collide`.
     """
 
     name = "sparse-legacy"
@@ -205,7 +209,10 @@ class LegacySparseKernel(_SparseKernel):
     def step(self, f: np.ndarray) -> np.ndarray:
         dom = self.domain
         streamed = f[dom.pull_velocity, dom.pull_from]
-        self.collision.apply(streamed, out=streamed)
+        if self.forcing is None:
+            self.collision.apply(streamed, out=streamed)
+        else:
+            self.forcing.collide(self.collision, streamed, streamed)
         return streamed
 
 
@@ -230,14 +237,16 @@ class PlannedSparseKernel(_SparseKernel):
         tau: float,
         order: int | None = None,
         dtype: "np.dtype | str | None" = None,
+        forcing: GuoForcing | None = None,
     ) -> None:
-        super().__init__(domain, tau, order=order, dtype=dtype)
+        super().__init__(domain, tau, order=order, dtype=dtype, forcing=forcing)
         self.plan = KernelPlan(
             self.lattice,
             (domain.num_fluid,),
             order=self.collision.order,
             dtype=self.dtype,
             gather=build_sparse_gather_table(domain),
+            forcing=forcing,
         )
 
     def _check_input(self, f: np.ndarray) -> None:
@@ -281,23 +290,26 @@ def make_sparse_kernel(
     tau: float,
     order: int | None = None,
     dtype: "np.dtype | str | None" = None,
+    forcing: GuoForcing | None = None,
     **auto_kwargs,
 ) -> _SparseKernel:
     """Resolve a sparse kernel selection to a ready instance.
 
-    ``kernel`` may be ``None``/``"legacy"`` (the allocating baseline),
-    ``"planned"``, ``"auto"`` (model -> cached verdict -> timing race,
-    like the dense ladder), a full registry name
+    ``kernel`` may be ``None``/``"planned"`` (the planned engine),
+    ``"legacy"`` (the allocating baseline, kept as the test oracle),
+    ``"auto"`` (model -> cached verdict -> timing race, like the dense
+    ladder), a full registry name
     (``"sparse-legacy"``/``"sparse-planned"``), or an already built
-    sparse kernel instance (returned as-is).
+    sparse kernel instance (returned as-is).  ``forcing`` is the Guo
+    body force the kernel's collision applies.
     """
     if isinstance(kernel, _SparseKernel):
         return kernel
-    key = "legacy" if kernel is None else str(kernel).lower()
+    key = "planned" if kernel is None else str(kernel).lower()
     key = _SPARSE_ALIASES.get(key, key)
     if key == AUTO_KERNEL:
         return auto_select_sparse_kernel(
-            domain, tau, order=order, dtype=dtype, **auto_kwargs
+            domain, tau, order=order, dtype=dtype, forcing=forcing, **auto_kwargs
         )
     if key not in SPARSE_AUTO_CANDIDATES:
         raise LatticeError(
@@ -305,7 +317,7 @@ def make_sparse_kernel(
             "sparse-legacy, sparse-planned (or 'auto')"
         )
     cls = LegacySparseKernel if key == "sparse-legacy" else PlannedSparseKernel
-    return cls(domain, tau, order=order, dtype=dtype)
+    return cls(domain, tau, order=order, dtype=dtype, forcing=forcing)
 
 
 def _sparse_auto_key(
@@ -345,6 +357,7 @@ def model_select_sparse_kernel(
     order: int | None = None,
     dtype: "np.dtype | str | None" = None,
     candidates: Sequence[str] = SPARSE_AUTO_CANDIDATES,
+    forcing: GuoForcing | None = None,
 ) -> "_SparseKernel | None":
     """Resolve sparse ``kernel="auto"`` from this host's calibration.
 
@@ -372,7 +385,9 @@ def model_select_sparse_kernel(
     cells = domain.num_fluid
     timings = {name: cells / (rate * 1e6) for name, rate in rates.items()}
     best = min(timings, key=lambda name: (timings[name], name))
-    winner = make_sparse_kernel(best, domain, tau, order=order, dtype=dtype)
+    winner = make_sparse_kernel(
+        best, domain, tau, order=order, dtype=dtype, forcing=forcing
+    )
     winner.auto_timings = dict(timings)
     winner.auto_cached = False
     winner.auto_provenance = "model"
@@ -401,6 +416,7 @@ def auto_select_sparse_kernel(
     cache: bool | None = None,
     cache_dir: "str | Path | None" = None,
     model: bool | None = None,
+    forcing: GuoForcing | None = None,
 ) -> _SparseKernel:
     """Sparse ``kernel="auto"``: model, then cached verdict, then race.
 
@@ -417,7 +433,8 @@ def auto_select_sparse_kernel(
         model = not os.environ.get(PERF_MODEL_DISABLE_ENV)
     if model:
         winner = model_select_sparse_kernel(
-            domain, tau, order=order, dtype=dtype, candidates=candidates
+            domain, tau, order=order, dtype=dtype, candidates=candidates,
+            forcing=forcing,
         )
         if winner is not None:
             return winner
@@ -432,7 +449,8 @@ def auto_select_sparse_kernel(
         record = _read_auto_cache(cache_path, key)
         if record is not None:
             winner = make_sparse_kernel(
-                record["kernel"], domain, tau, order=order, dtype=dtype
+                record["kernel"], domain, tau, order=order, dtype=dtype,
+                forcing=forcing,
             )
             winner.auto_timings = {
                 str(k): float(v) for k, v in record.get("timings", {}).items()
@@ -458,7 +476,9 @@ def auto_select_sparse_kernel(
     kernels: dict[str, _SparseKernel] = {}
     timings: dict[str, float] = {}
     for name in candidates:
-        kernel = make_sparse_kernel(name, domain, tau, order=order, dtype=dtype)
+        kernel = make_sparse_kernel(
+            name, domain, tau, order=order, dtype=dtype, forcing=forcing
+        )
         f = f0.copy()
         for _ in range(max(1, warmup)):
             f = kernel.step(f)
@@ -493,9 +513,12 @@ class SparseSimulation:
     The update is *pull*-form: for every fluid node and velocity, the
     post-streaming population is gathered through the neighbor table,
     then collided.  ``kernel`` selects the sparse rung —
-    ``"legacy"`` (default, allocating), ``"planned"``
-    (zero-allocation planned gather) or ``"auto"`` (model -> cached
-    verdict -> timing race, like the dense path).
+    ``"planned"`` (default, the zero-allocation planned gather),
+    ``"legacy"`` (allocating, the test oracle) or ``"auto"`` (model ->
+    cached verdict -> timing race, like the dense path).  ``force`` is a
+    constant body force with Guo coupling, the same second-order scheme
+    (and, on the planned kernel, the same plan code) as the dense
+    driver's :class:`~repro.core.forcing.GuoForcing`.
     """
 
     def __init__(
@@ -517,30 +540,20 @@ class SparseSimulation:
             )
         self.dtype = resolve_dtype(dtype)
         self.domain = SparseDomain(self.lattice, solid_mask)
-        self.kernel = make_sparse_kernel(
-            kernel, self.domain, tau, order=order, dtype=self.dtype
+        self.forcing = (
+            None if force is None else GuoForcing(self.lattice, tuple(force))
         )
+        self.kernel = make_sparse_kernel(
+            kernel, self.domain, tau, order=order, dtype=self.dtype,
+            forcing=self.forcing,
+        )
+        if self.kernel.forcing is not self.forcing:
+            raise LatticeError(
+                "a sparse kernel instance carries its own forcing; pass the "
+                "kernel by name so it is built with this simulation's force"
+            )
         self.collision = self.kernel.collision
         self.f = np.zeros((self.lattice.q, self.domain.num_fluid), dtype=self.dtype)
-        self._force = None if force is None else np.asarray(force, dtype=np.float64)
-        if self._force is not None and len(self._force) != self.lattice.dim:
-            raise LatticeError("force must have one component per dimension")
-        if self._force is None:
-            self._force_term = None
-            self._force_scalars = None
-        else:
-            # Constant per-velocity forcing increment, computed once in
-            # float64 then cast to the population dtype (the per-step
-            # recomputation this replaces was also a hidden allocation).
-            cf = self.lattice.velocities_as(np.float64) @ self._force  # (Q,)
-            term = self.lattice.weights * cf / self.lattice.cs2_float
-            self._force_term = np.ascontiguousarray(
-                term[:, None], dtype=self.dtype
-            )
-            # Per-row dtype scalars: `row += scalar` adds the identical
-            # value the (Q, 1) broadcast did, without numpy's broadcast
-            # ufunc buffer (a hidden per-step allocation).
-            self._force_scalars = tuple(self._force_term[:, 0])
         self.time_step = 0
         self.timings = StepTimings()
 
@@ -571,15 +584,9 @@ class SparseSimulation:
     # -- stepping ------------------------------------------------------------
 
     def step(self) -> None:
-        """One pull-stream + collide (+ simple forcing) update."""
+        """One pull-stream + (Guo-forced) collide update."""
         t0 = time.perf_counter()
-        f = self.kernel.step(self.f)
-        if self._force_scalars is not None:
-            # first-order (Shan-Chen style) force: shift populations'
-            # momentum by F per node per step
-            for row, scalar in zip(f, self._force_scalars):
-                row += scalar
-        self.f = f
+        self.f = self.kernel.step(self.f)
         self.time_step += 1
         # The sparse update is fused (no separate boundary phase — walls
         # are gather indices), so the whole step books as collide time.
@@ -620,7 +627,8 @@ class SparseSimulation:
     # -- observables --------------------------------------------------------------
 
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-fluid-node density and velocity."""
+        """Per-fluid-node density and velocity (raw moments of the
+        stored post-collision populations, no force correction)."""
         rho = density(self.f)
         u = momentum(self.lattice, self.f) / rho[None]
         return rho, u

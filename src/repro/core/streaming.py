@@ -4,9 +4,10 @@ Propagates each population along its discrete velocity: the *push*
 scheme of the paper's Fig. 3, ``distr_adv[x + c_i] = distr[x]``.  Two
 implementations:
 
-* :func:`stream_periodic` — fully periodic domain via ``numpy.roll``
-  (the production path for single-domain simulations; matches the
-  paper's cubic periodic test systems).
+* :func:`stream_periodic` — fully periodic domain via slice shifts
+  (the legacy pair's and the oracle kernels' streaming; matches the
+  paper's cubic periodic test systems).  The planned engine streams
+  through a gather table built from :func:`pull_gather_rows` instead.
 * :func:`stream_padded` — non-wrapping slice shifts for halo-padded slab
   subdomains.  Values that would enter from outside the pad are filled
   with ``fill_value``; they only ever land in the outermost ``k`` planes,
@@ -39,13 +40,14 @@ def pull_gather_rows(lattice: VelocitySet, shape: tuple[int, ...]) -> np.ndarray
     of the index math.  Shape ``(Q, N)``, ``N = prod(shape)``.
     """
     shape = tuple(int(s) for s in shape)
-    coords = np.indices(shape)  # (D, *shape)
-    flat = np.arange(int(np.prod(shape))).reshape(shape)
-    rows = []
-    for c in lattice.velocities:
-        src = [(coords[a] - int(c[a])) % shape[a] for a in range(len(shape))]
-        rows.append(flat[tuple(src)].ravel())
-    return np.stack(rows)
+    n = int(np.prod(shape))
+    flat = np.arange(n, dtype=np.intp).reshape(shape)
+    # Each row is written once, in place: the table is as large as a
+    # population array, so list-then-stack temporaries would triple it.
+    rows = np.empty((lattice.q, n), dtype=np.intp)
+    for i, c in enumerate(lattice.velocities):
+        _roll_into(flat, rows[i].reshape(shape), tuple(int(v) for v in c))
+    return rows
 
 
 def _roll_into(src: np.ndarray, dst: np.ndarray, shift: tuple[int, ...]) -> None:

@@ -24,6 +24,7 @@ import os
 import socket
 import time
 import traceback
+import uuid
 from pathlib import Path
 from typing import Any
 
@@ -268,6 +269,8 @@ class FailureLedger:
             },
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        tmp = self.path.with_name(
+            f"{self.path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+        )
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
         os.replace(tmp, self.path)

@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import uuid
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -40,7 +41,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_ENTRY_VERSION = 1
+#: Entry format version.  Bumped whenever stored results change for
+#: specs whose fingerprint does not: version 2 marks the switch of the
+#: default engine (``kernel=None``) from the legacy roll pair to the
+#: planned kernel with fused walls and forcing, whose bits differ by
+#: rounding.  An entry of another version is a miss and re-runs.
+_ENTRY_VERSION = 2
 
 #: Name of the distributed work order file (written by
 #: :class:`repro.scenarios.scheduler.WorkQueue`); reserved alongside the
@@ -55,8 +61,10 @@ CORRUPT_DIRNAME = "corrupt"
 def _atomic_write(path: Path, text: str) -> None:
     """Write via a sibling temp file + rename so readers never see a
     half-written entry (a crashed sweep must not leave corrupt state
-    that a resume would trust)."""
-    tmp = path.with_name(path.name + ".tmp")
+    that a resume would trust).  The temp name is unique per writer, so
+    concurrent commits of the same entry never share (and unlink) one
+    temp file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
@@ -94,7 +102,7 @@ class ResultCache:
 
     Each entry lives at ``<root>/<fingerprint>.json`` as::
 
-        {"version": 1, "fingerprint": ..., "checksum": ..., "data": {...}}
+        {"version": 2, "fingerprint": ..., "checksum": ..., "data": {...}}
 
     where ``data`` holds the serialisable outcome payload and
     ``checksum`` is the SHA-256 of its canonical JSON.  :meth:`get`
@@ -133,6 +141,12 @@ class ResultCache:
             return CacheLookup("corrupt")
         if not isinstance(envelope, dict):
             return CacheLookup("corrupt")
+        if isinstance(envelope.get("version"), int) and (
+            envelope["version"] != _ENTRY_VERSION
+        ):
+            # Well-formed but from another format version: stale, not
+            # corrupt — re-run it and let put() overwrite the slot.
+            return CacheLookup("miss")
         data = envelope.get("data")
         if (
             envelope.get("version") != _ENTRY_VERSION

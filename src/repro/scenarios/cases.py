@@ -91,12 +91,12 @@ def _distributed_kernel(spec: CaseSpec) -> str:
     """Map the spec's single-domain kernel onto the slab path.
 
     The distributed solver has two implementations: the planned
-    windowed kernel (selected when the spec runs planned) and the
-    legacy pair (everything else — roll/fused-gather/naive share the
-    legacy pair's arithmetic to rounding, so it is the faithful
+    windowed kernel (selected when the spec runs planned, the default)
+    and the legacy pair (everything else — roll/fused-gather/naive share
+    the legacy pair's arithmetic to rounding, so it is the faithful
     counterpart for them).
     """
-    return "planned" if spec.kernel == "planned" else "legacy"
+    return "planned" if spec.planned else "legacy"
 
 
 def _gather_tol(spec: CaseSpec) -> float:
@@ -716,6 +716,10 @@ DEEP_HALO = register_case(
         lattice="D3Q39",
         shape=(36, 5, 5),
         tau=0.8,
+        # The legacy pair on both sides keeps the comparison bit-exact:
+        # the planned slab kernel agrees with the planned single-domain
+        # engine only to rounding (its BLAS moments run per window).
+        kernel="roll",
         initial=_shear_initial,
         steps=8,
         monitor_every=4,

@@ -307,12 +307,13 @@ class CaseRunner:
                 f"{sim.f.dtype}; a cross-precision restore would not be "
                 "bit-exact (override the case dtype to match)"
             )
-        if data.kernel != self.spec.kernel:
+        running = getattr(sim.kernel, "name", None)
+        if data.kernel != running:
             # Kernels agree only to rounding, so continuing under a
             # different one is not bit-exact — same latch as dtype.
             raise ScenarioError(
                 f"checkpoint was written with kernel {data.kernel!r}, "
-                f"case resumes with {self.spec.kernel!r}; a cross-kernel "
+                f"case resumes with {running!r}; a cross-kernel "
                 "restore would not be bit-exact (override the case "
                 "kernel to match)"
             )

@@ -173,8 +173,9 @@ class CaseSpec:
         Hermite equilibrium order (``None`` = lattice native).
     kernel:
         Stream/collide kernel name (``"roll"``, ``"fused-gather"``,
-        ``"planned"``, ``"naive"``); ``None`` = the driver's legacy
-        default pair.  Mutually exclusive with a ``collision`` factory.
+        ``"planned"``, ``"naive"``); ``None`` = the driver's default,
+        the planned engine (or, with a ``collision`` factory, the
+        legacy pair).  Mutually exclusive with a ``collision`` factory.
         ``"auto"`` is rejected here — a spec must be deterministic for
         the sweep cache; use ``Simulation(kernel="auto")`` directly.
     dtype:
@@ -183,7 +184,7 @@ class CaseSpec:
         cache entries distinguish kernel/dtype variants.
     layout:
         Physical memory order of the persistent field, ``"soa"``
-        (default) or ``"aos"`` (requires ``kernel="planned"``).
+        (default) or ``"aos"`` (requires the planned engine).
         Fingerprint-sensitive and overridable like ``kernel``/``dtype``
         even though both layouts produce byte-identical results per
         dtype — a sweep axis over layouts measures throughput, and the
@@ -267,6 +268,14 @@ class CaseSpec:
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "observables", dict(self.observables))
         object.__setattr__(self, "tags", tuple(self.tags))
+
+    @property
+    def planned(self) -> bool:
+        """Whether the driver steps this spec on the planned engine:
+        ``kernel="planned"``, or the default with no collision factory."""
+        return self.kernel == "planned" or (
+            self.kernel is None and self.collision is None
+        )
 
     # -- validation --------------------------------------------------------
 
@@ -352,7 +361,7 @@ class CaseSpec:
                     "sparse cases (sparse kernels store populations per "
                     "fluid site)"
                 )
-            if self.kernel != "planned":
+            if not self.planned:
                 raise ScenarioError(
                     f"case {self.name!r}: layout 'aos' requires "
                     "kernel='planned' (the plan remaps its gather table "

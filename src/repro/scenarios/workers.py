@@ -44,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import sys
 import threading
 import time
 from pathlib import Path
@@ -508,6 +509,8 @@ def worker_entry(
             max_attempts=max_attempts,
         )
     except ScenarioError as exc:  # pragma: no cover - defensive
-        print(f"worker error: {exc}")
+        print(f"worker error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    print(report.summary())
+    # stderr: the child inherits the parent's stdout, which carries the
+    # parent's own output (one JSON body under `repro sweep --json`).
+    print(report.summary(), file=sys.stderr)

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import threading
 import time
+import uuid
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -223,7 +225,9 @@ class JobStore:
 
     def _save(self, record: JobRecord) -> None:
         path = self.jobs_dir / f"{record.id}.json"
-        tmp = path.with_name(path.name + ".tmp")
+        # Unique per writer: handler threads saving the same job must not
+        # race on (and rename away) one shared temp file.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
         tmp.write_text(record.to_json())
         tmp.replace(path)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    BGKCollision,
     DistributionField,
     Simulation,
     compute_dtype,
@@ -160,8 +161,10 @@ class TestCheckpointDtype:
         restored = load_checkpoint(path)
         assert restored.kernel is not None
         assert restored.kernel.name == "planned"
-        # legacy-pair checkpoints restore with no kernel
-        legacy = Simulation("D3Q19", (4, 4, 4), tau=0.8)
+        # legacy-pair (custom collision) checkpoints restore with no kernel
+        legacy = Simulation(
+            "D3Q19", (4, 4, 4), collision=BGKCollision(get_lattice("D3Q19"), 0.8)
+        )
         legacy.initialize(np.ones(legacy.shape), np.zeros((3, 4, 4, 4)))
         save_checkpoint(path, legacy)
         assert load_checkpoint_data(path).kernel is None
@@ -205,9 +208,14 @@ class TestRunnerDtypeGuard:
         )
         path = tmp_path / "tg.npz"
         planned.run(checkpoint=path)
-        legacy = CaseRunner("taylor-green", steps=8, monitor_every=2)
+        legacy = CaseRunner(
+            "taylor-green", steps=8, monitor_every=2, kernel="roll"
+        )
         with pytest.raises(ScenarioError, match="kernel"):
             legacy.run(resume=path)
+        # the default (kernel=None) runs the planned engine, so it resumes
+        default = CaseRunner("taylor-green", steps=8, monitor_every=2)
+        assert default.run(resume=path).metrics["steps_run"] == 8
         # same-kernel resume continues fine
         again = CaseRunner(
             "taylor-green", steps=8, monitor_every=2, kernel="planned"

@@ -132,11 +132,17 @@ class TestSimulationLayoutEquivalence:
         assert np.array_equal(runs["soa"], runs["aos"])
 
     def test_aos_requires_planned_kernel(self):
-        from repro.core import Simulation
+        from repro.core import BGKCollision, Simulation
         from repro.errors import LatticeError
 
+        # The default (kernel=None) is the planned engine, so AoS works;
+        # a custom collision runs on the velocity-major legacy pair.
+        assert Simulation("D3Q19", (6, 5, 4), layout="aos").kernel.name == "planned"
         with pytest.raises(LatticeError, match="requires a kernel"):
-            Simulation("D3Q19", (6, 5, 4), layout="aos")
+            Simulation(
+                "D3Q19", (6, 5, 4), layout="aos",
+                collision=BGKCollision(get_lattice("D3Q19"), 0.8),
+            )
         with pytest.raises(LatticeError, match="planned"):
             Simulation("D3Q19", (6, 5, 4), kernel="roll", layout="aos")
 

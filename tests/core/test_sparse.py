@@ -273,9 +273,9 @@ class TestSparseKernelSelection:
     def _domain(self, q19):
         return SparseDomain(q19, _walled_sphere_mask((8, 7, 6)))
 
-    def test_default_is_legacy(self, q19):
+    def test_default_is_planned(self, q19):
         kernel = make_sparse_kernel(None, self._domain(q19), 0.8)
-        assert isinstance(kernel, LegacySparseKernel)
+        assert isinstance(kernel, PlannedSparseKernel)
 
     @pytest.mark.parametrize(
         "name,cls",

@@ -249,6 +249,25 @@ class TestCacheLookup:
         assert torn.status == "corrupt"
         assert torn.payload is None and not torn.hit
 
+    def test_entry_of_older_version_is_a_miss(self, tmp_path):
+        """A v1 entry predates the planned default engine: its bits can
+        differ for an unchanged fingerprint, so it must re-run (a miss,
+        not a hit, and not a corrupt entry to quarantine)."""
+        from repro.scenarios.cache import _ENTRY_VERSION
+
+        assert _ENTRY_VERSION >= 2
+        cache = self.make_cache(tmp_path)
+        path = cache.put("abc123", PAYLOAD)
+        envelope = json.loads(path.read_text())
+        envelope["version"] = 1
+        path.write_text(json.dumps(envelope))
+        assert cache.get("abc123") is None
+        assert cache.lookup("abc123").status == "miss"
+        assert path.exists()  # left in place for put() to overwrite
+        assert cache.telemetry.counters == {"cache.miss": 1}
+        cache.put("abc123", PAYLOAD)
+        assert cache.lookup("abc123").hit
+
     def test_corrupt_entry_logged_and_counted(self, tmp_path, caplog):
         cache = self.make_cache(tmp_path)
         cache.put("abc123", PAYLOAD)

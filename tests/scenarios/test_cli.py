@@ -199,6 +199,20 @@ class TestDistributedCommands:
         assert serial_csv.read_bytes() == dist_csv.read_bytes()
 
 
+    def test_workers_json_prints_one_body(self, tmp_path, capfd):
+        """Worker children share the parent's stdout; their summaries go
+        to stderr so `--json` stays exactly one JSON body."""
+        import json
+
+        assert main(["sweep", "taylor-green", *self.ARGS,
+                     "--workers", "2", "--cache-dir", str(tmp_path / "c"),
+                     "--json"]) == 0
+        captured = capfd.readouterr()
+        body = json.loads(captured.out)
+        assert body["data"]["case"] == "taylor-green"
+        assert "ran" in captured.err
+
+
 class TestAdaptiveCommand:
     def test_adaptive_samples_strict_subset(self, capsys):
         code = main(["sweep", "taylor-green",

@@ -162,6 +162,26 @@ class TestLeaseBoard:
         assert read_claim(board.path("fp")) is None
 
 
+    def test_write_claim_publishes_complete_records_only(self, tmp_path):
+        """A claim appears on disk only fully written (temp file + link),
+        so a contender never reads an empty claim and breaks a live lock;
+        winner and loser both leave no temp file behind."""
+        path = tmp_path / "fp.lease"
+        record = ClaimRecord(
+            owner="a", resource="fp", host="h", pid=1,
+            acquired_at=0.0, expires_at=1e12,
+        )
+        assert write_claim(path, record)
+        assert read_claim(path) == record
+        other = ClaimRecord(
+            owner="b", resource="fp", host="h", pid=2,
+            acquired_at=0.0, expires_at=1e12,
+        )
+        assert not write_claim(path, other)
+        assert read_claim(path) == record
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fp.lease"]
+
+
 class TestWorkQueue:
     def test_publish_load_roundtrip_preserves_fingerprints(self, tmp_path):
         plan = SweepPlan.of(make_sweep())
