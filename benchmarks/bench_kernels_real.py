@@ -2,7 +2,7 @@
 
 This is the *executable* analogue of the paper's single-node study: the
 same stream+collide update measured on this host, across the kernel
-ladder (roll -> fused-gather -> planned), lattices (D3Q19 vs D3Q39),
+ladder (the roll oracle -> planned), lattices (D3Q19 vs D3Q39),
 equilibrium orders and population dtypes (float32 halves the paper's
 bytes-per-cell figure).  Absolute numbers depend on the host; the
 shapes that must hold are (a) D3Q39 costs ~2x D3Q19 per cell, (b) all
@@ -15,24 +15,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (
-    FusedGatherKernel,
-    PlannedKernel,
-    RollKernel,
-    equilibrium,
-    make_kernel,
-)
+from repro.core import PlannedKernel, RollKernel, equilibrium, make_kernel
 from repro.lattice import get_lattice
 from repro.perf import mflups
 
 SHAPE = (32, 32, 32)
 
-#: (kernel class, dtype) rungs of the measured ladder.  The allocating
-#: kernels are measured at float64 (their historic configuration); the
-#: planned kernel at both dtype-policy ends.
+#: (kernel class, dtype) rungs of the measured ladder: the roll oracle
+#: and the planned kernel, each at both dtype-policy ends.
 LADDER = [
     (RollKernel, "float64"),
-    (FusedGatherKernel, "float64"),
     (PlannedKernel, "float64"),
     (RollKernel, "float32"),
     (PlannedKernel, "float32"),

@@ -13,8 +13,8 @@ forcing and is second-order accurate.
 Two implementations share these constants: the planned engine folds the
 update into its zero-allocation arena (:class:`~repro.core.plan.KernelPlan`,
 dense and sparse), and :meth:`GuoForcing.source_term` is the generic
-allocating form the oracle kernels (``roll``, ``fused-gather``,
-``naive``) collide with.
+allocating form the oracle kernels (``roll``, ``naive``) collide
+with.
 """
 
 from __future__ import annotations

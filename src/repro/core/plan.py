@@ -28,43 +28,25 @@ says roughly doubles bandwidth-bound throughput.
 
 :func:`make_kernel` is the registry every layer above selects kernels
 through (``Simulation(kernel=...)``, ``CaseSpec.kernel``, the CLI
-``--kernel`` flag), and :func:`auto_select_kernel` implements
-``kernel="auto"`` with a three-rung resolution ladder:
-
-1. **model** — a fitted :class:`~repro.perf.model.FittedPerfModel`
-   calibration for this host (see ``repro perf-model fit``) predicts
-   every candidate's MFLUP/s from the roofline's B(Q) arithmetic; when
-   it covers all candidates the winner is chosen without running a
-   single timed step (``$REPRO_NO_PERF_MODEL`` opts out);
-2. **cached** — a previously measured verdict for this exact (host,
-   shape, lattice, order, dtype, candidates) identity replays;
-3. **measured** — the cold-start timing race: a few steps of each
-   candidate on the actual shape/lattice/dtype, keep the fastest.
-   These races are what feed the model's fit (their verdict events
-   carry ``provenance="measured"``), so measurement never disappears —
-   it just stops being on the hot path once a calibration exists.
+``--kernel`` flag).  The planned engine is the default and the one
+stepping engine; ``naive`` and ``roll`` stay registered as the oracles
+it is tested against.  ``"auto"`` is an accepted spelling of the
+engine (:func:`resolve_kernel_name`): nothing is timed to resolve it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import platform
-import time
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import LatticeError
 from ..lattice import VelocitySet
-from ..telemetry.recorder import get_telemetry
 from .boundary import BounceBackWalls
 from .equilibrium import equilibrium_order_for
 from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
 from .forcing import GuoForcing
-from .kernels import FusedGatherKernel, LBMKernel, NaiveKernel, RollKernel
+from .kernels import LBMKernel, NaiveKernel, RollKernel
 from .streaming import pull_gather_rows
 
 __all__ = [
@@ -72,14 +54,12 @@ __all__ = [
     "DEFAULT_KERNEL",
     "KernelPlan",
     "PlannedKernel",
-    "auto_select_kernel",
     "available_kernels",
     "build_aos_gather_table",
     "build_gather_table",
     "build_slab_gather_table",
-    "kernel_cache_dir",
     "make_kernel",
-    "model_select_kernel",
+    "resolve_kernel_name",
 ]
 
 
@@ -90,9 +70,8 @@ def build_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray
     ``np.take(f.reshape(-1), table, out=...)`` advects every population —
     the paper's "minimize index calculation" transformation taken to its
     limit: a single gather with no per-step index arithmetic at all.
-    The index math itself is :func:`~repro.core.streaming.pull_gather_rows`
-    (shared with :class:`~repro.core.kernels.FusedGatherKernel`); this
-    adds the per-velocity row offsets and flattens.
+    The index math itself is :func:`~repro.core.streaming.pull_gather_rows`;
+    this adds the per-velocity row offsets and flattens.
     """
     shape = tuple(int(s) for s in shape)
     rows = pull_gather_rows(lattice, shape)  # (Q, N)
@@ -704,29 +683,37 @@ class PlannedKernel(LBMKernel):
 # -- kernel selection -------------------------------------------------------
 
 #: Name -> kernel class; the single registry every selection path uses.
+#: ``naive`` and ``roll`` are the oracles the engine is tested against.
 KERNELS: dict[str, type[LBMKernel]] = {
     "naive": NaiveKernel,
     "roll": RollKernel,
-    "fused-gather": FusedGatherKernel,
     "planned": PlannedKernel,
 }
-
-#: The sentinel name that triggers measured auto-selection.
-AUTO_KERNEL = "auto"
 
 #: What ``Simulation`` runs when neither a kernel nor a custom
 #: collision is requested: the planned engine, with walls and forcing
 #: fused into it.
 DEFAULT_KERNEL = "planned"
 
-#: Candidates ``kernel="auto"`` times.  NaiveKernel is excluded — it is
-#: the executable specification, O(minutes) beyond toy grids.
-AUTO_CANDIDATES = ("roll", "fused-gather", "planned")
+#: Accepted spelling of the planned engine (see :func:`resolve_kernel_name`).
+AUTO_KERNEL = "auto"
 
 
 def available_kernels() -> tuple[str, ...]:
     """Names of all selectable kernels, sorted (excludes ``"auto"``)."""
     return tuple(sorted(KERNELS))
+
+
+def resolve_kernel_name(kernel: str) -> str:
+    """``kernel`` with the ``"auto"`` spelling resolved to the engine.
+
+    ``"auto"`` (any case) names the planned engine, dense or sparse: it
+    is the kernel every measured cell crowns, so nothing is timed.  Every
+    other name comes back unchanged.  This is the one place the alias
+    lives; :func:`make_kernel`, the sparse registry and the api layer
+    (which resolves it before a spec is fingerprinted) all call it.
+    """
+    return DEFAULT_KERNEL if str(kernel).lower() == AUTO_KERNEL else kernel
 
 
 def make_kernel(
@@ -742,18 +729,17 @@ def make_kernel(
     """Resolve a kernel selection to a ready instance.
 
     ``kernel`` may be an :class:`LBMKernel` instance (returned as-is), a
-    registry name, or ``"auto"`` (requires ``shape``; times the
-    candidates on the actual problem).  ``dtype`` matters only to the
-    planned kernel — the other kernels adapt to whatever dtype the
-    populations carry.
+    registry name, or ``"auto"`` (the planned engine).  ``dtype`` and
+    ``shape`` matter only to the planned kernel — the oracles adapt to
+    whatever dtype the populations carry.
 
     ``layout`` selects the persistent field's physical order; only the
     planned kernel supports ``"aos"`` (its plan remaps the gather
-    table), so ``"auto"`` under AoS resolves straight to it.
+    table).
 
     ``domain`` (a :class:`~repro.core.sparse.SparseDomain`) switches to
-    the sparse rung of the ladder: ``legacy``/``planned``/``auto`` (and
-    the registry names ``sparse-legacy``/``sparse-planned``) resolve to
+    the sparse kernels: ``legacy``/``planned``/``auto`` (and the
+    registry names ``sparse-legacy``/``sparse-planned``) resolve to
     indirect-addressing kernels streaming that domain's fluid sites.
     """
     layout = resolve_layout(layout)
@@ -764,7 +750,7 @@ def make_kernel(
                 f" but layout={layout!r} was requested"
             )
         return kernel
-    key = str(kernel).lower()
+    key = resolve_kernel_name(str(kernel).lower())
     if domain is not None:
         if layout != LAYOUT_SOA:
             raise LatticeError(
@@ -779,23 +765,6 @@ def make_kernel(
             f"kernel {kernel!r} streams a SparseDomain; pass domain= "
             "(or select it through SparseSimulation(kernel=...))"
         )
-    if layout == LAYOUT_AOS:
-        if key == AUTO_KERNEL:
-            key = "planned"
-        if KERNELS.get(key) is not PlannedKernel:
-            raise LatticeError(
-                f"layout='aos' requires the planned kernel (got {kernel!r}); "
-                "only its plan can remap the gather table per layout"
-            )
-        return PlannedKernel(
-            lattice, tau, order=order, dtype=dtype, shape=shape, layout=layout
-        )
-    if key == AUTO_KERNEL:
-        if shape is None:
-            raise LatticeError(
-                "kernel='auto' needs the grid shape to time candidates on"
-            )
-        return auto_select_kernel(lattice, shape, tau, order=order, dtype=dtype)
     if key not in KERNELS:
         raise LatticeError(
             f"unknown kernel {kernel!r}; available: "
@@ -803,285 +772,12 @@ def make_kernel(
         )
     cls = KERNELS[key]
     if cls is PlannedKernel:
-        return PlannedKernel(lattice, tau, order=order, dtype=dtype, shape=shape)
+        return PlannedKernel(
+            lattice, tau, order=order, dtype=dtype, shape=shape, layout=layout
+        )
+    if layout == LAYOUT_AOS:
+        raise LatticeError(
+            f"layout='aos' requires the planned kernel (got {kernel!r}); "
+            "only its plan can remap the gather table per layout"
+        )
     return cls(lattice, tau, order=order)
-
-
-#: Environment variable overriding where auto-selection verdicts live.
-KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE_DIR"
-
-#: Environment variable disabling the verdict cache entirely (any
-#: non-empty value); the programmatic escape hatch behind the CLI's
-#: ``--no-kernel-cache``.
-KERNEL_CACHE_DISABLE_ENV = "REPRO_NO_KERNEL_CACHE"
-
-#: Environment variable disabling model-based ``kernel="auto"``
-#: resolution (any non-empty value): selection falls back to the
-#: measured verdict cache / timing race even when a calibration exists.
-PERF_MODEL_DISABLE_ENV = "REPRO_NO_PERF_MODEL"
-
-
-def kernel_cache_dir() -> Path:
-    """Directory holding cached ``kernel="auto"`` verdicts.
-
-    ``$REPRO_KERNEL_CACHE_DIR`` when set, else the conventional
-    per-user cache location (``$XDG_CACHE_HOME``/``~/.cache``) under
-    ``repro/kernel-auto``.
-    """
-    override = os.environ.get(KERNEL_CACHE_ENV)
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or (Path.home() / ".cache")
-    return Path(base) / "repro" / "kernel-auto"
-
-
-def _auto_cache_key(
-    lattice: VelocitySet,
-    shape: tuple[int, ...],
-    order: int | None,
-    dtype: np.dtype,
-    candidates: Sequence[str],
-) -> dict:
-    """The identity a cached verdict is valid for.
-
-    Keyed per *host* because the verdict is a timing race: another
-    machine (or core count) may legitimately crown a different kernel.
-    ``tau`` is deliberately absent — it scales the arithmetic, not the
-    memory behaviour the race measures.
-    """
-    return {
-        "host": platform.node(),
-        "lattice": lattice.name,
-        "shape": list(shape),
-        "order": equilibrium_order_for(lattice, order),
-        "dtype": dtype.name,
-        "candidates": list(candidates),
-    }
-
-
-def _auto_cache_path(cache_dir: Path, key: dict) -> Path:
-    digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return cache_dir / f"{digest[:24]}.json"
-
-
-def _read_auto_cache(path: Path, key: dict) -> dict | None:
-    """The cached verdict record, or ``None`` if absent/corrupt/stale."""
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if record.get("key") != key or record.get("kernel") not in KERNELS:
-        return None
-    return record
-
-
-def _write_auto_cache(path: Path, key: dict, best: str, timings: dict) -> None:
-    """Best-effort verdict write (an unwritable cache is not an error)."""
-    record = {"key": key, "kernel": best, "timings": timings}
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True, indent=1))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _emit_auto_verdict(
-    winner: str,
-    provenance: str,
-    lattice: VelocitySet,
-    shape: tuple[int, ...],
-    dtype: np.dtype,
-    timings: dict,
-    mode: str | None = None,
-    fill: float | None = None,
-) -> None:
-    """Record a ``kernel.auto`` verdict event on the ambient recorder.
-
-    Each candidate's timing (mean seconds per step) is also expressed
-    as measured MFLUP/s via the paper's Eq. 4 — the number the roofline
-    discussion compares kernels by.  Sparse verdicts stamp their
-    ``mode="sparse"`` and fluid ``fill`` fraction so the perf-model
-    fitter can attribute them to the fill-aware B(Q).
-    """
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return
-    from ..perf.metrics import mflups  # late: perf builds on core
-
-    cells = int(np.prod(shape))
-    rates = {
-        str(name): mflups(1, cells, float(seconds))
-        for name, seconds in timings.items()
-        if float(seconds) > 0
-    }
-    attrs: dict = {}
-    if mode is not None:
-        attrs["mode"] = str(mode)
-    if fill is not None:
-        attrs["fill"] = float(fill)
-    telemetry.event(
-        "kernel.auto",
-        winner=winner,
-        provenance=provenance,
-        lattice=lattice.name,
-        shape=list(shape),
-        dtype=dtype.name,
-        step_seconds={str(k): float(v) for k, v in timings.items()},
-        mflups=rates,
-        **attrs,
-    )
-
-
-def model_select_kernel(
-    lattice: VelocitySet,
-    shape: Sequence[int],
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = AUTO_CANDIDATES,
-) -> LBMKernel | None:
-    """Resolve ``kernel="auto"`` from this host's fitted calibration.
-
-    Returns the predicted-fastest candidate as a ready instance, or
-    ``None`` when no calibration exists or it does not cover *every*
-    candidate (a partial model could only crown a winner by ignoring
-    the kernels it has never seen — that question belongs to the
-    measured race).  The winner carries the prediction as
-    ``auto_timings`` (predicted seconds per step, comparable to the
-    race's measured figures) and ``auto_provenance = "model"``.
-    """
-    from ..perf.model import load_calibration  # late: perf builds on core
-
-    calibration = load_calibration()
-    if calibration is None:
-        return None
-    dtype = resolve_dtype(dtype)
-    shape = tuple(int(s) for s in shape)
-    rates = calibration.rank_kernels(
-        candidates, lattice.name, dtype.name, shape=shape
-    )
-    if set(rates) != set(candidates):
-        return None
-    cells = int(np.prod(shape))
-    # Predicted mean seconds per step, the same unit the race measures.
-    timings = {name: cells / (rate * 1e6) for name, rate in rates.items()}
-    best = min(timings, key=lambda name: (timings[name], name))
-    winner = make_kernel(best, lattice, tau, order=order, dtype=dtype, shape=shape)
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "model"
-    _emit_auto_verdict(best, "model", lattice, shape, dtype, timings)
-    return winner
-
-
-def auto_select_kernel(
-    lattice: VelocitySet,
-    shape: Sequence[int],
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = AUTO_CANDIDATES,
-    warmup: int = 1,
-    trials: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
-    cache: bool | None = None,
-    cache_dir: "str | Path | None" = None,
-    model: bool | None = None,
-) -> LBMKernel:
-    """Resolve ``kernel="auto"``: model, then cached verdict, then race.
-
-    With a fitted calibration on this host (``repro perf-model fit``)
-    that covers every candidate, the winner comes straight from
-    :func:`model_select_kernel` — no timed steps at all.  Otherwise a
-    previously cached measured verdict for this exact identity replays;
-    otherwise the cold-start timing race runs: the same
-    sweep-and-pick-min idiom as :mod:`repro.perf.tuner`'s ghost depth
-    tuning, but measured — ``warmup`` steps build each kernel's
-    tables/buffers, then ``trials`` steps are timed on an equilibrium
-    rest state.  The winning *instance* is returned (already warm),
-    with per-candidate mean step seconds (measured or predicted)
-    attached as ``kernel.auto_timings`` and the resolution rung as
-    ``kernel.auto_provenance`` (``"model"``/``"cached"``/``"measured"``).
-
-    Measured verdicts are cached per (host, shape, lattice, order,
-    dtype, candidates) under :func:`kernel_cache_dir`; a hit returns a
-    fresh warm instance of the recorded winner with
-    ``kernel.auto_cached = True``.  ``cache=False`` (or a set
-    ``$REPRO_NO_KERNEL_CACHE``) disables both the lookup and the
-    write-back; ``model=False`` (or a set ``$REPRO_NO_PERF_MODEL``)
-    skips the calibration rung; ``None`` means "on unless the
-    environment disables it".
-    """
-    if not candidates:
-        raise LatticeError("auto kernel selection needs at least one candidate")
-    dtype = resolve_dtype(dtype)
-    shape = tuple(int(s) for s in shape)
-    if model is None:
-        model = not os.environ.get(PERF_MODEL_DISABLE_ENV)
-    if model:
-        winner = model_select_kernel(
-            lattice, shape, tau, order=order, dtype=dtype, candidates=candidates
-        )
-        if winner is not None:
-            return winner
-    if cache is None:
-        cache = not os.environ.get(KERNEL_CACHE_DISABLE_ENV)
-    cache_path = None
-    if cache:
-        key = _auto_cache_key(lattice, shape, order, dtype, candidates)
-        cache_path = _auto_cache_path(
-            Path(cache_dir) if cache_dir is not None else kernel_cache_dir(), key
-        )
-        record = _read_auto_cache(cache_path, key)
-        if record is not None:
-            winner = make_kernel(
-                record["kernel"], lattice, tau, order=order, dtype=dtype, shape=shape
-            )
-            winner.auto_timings = {
-                str(k): float(v) for k, v in record.get("timings", {}).items()
-            }
-            winner.auto_cached = True
-            winner.auto_provenance = "cached"
-            _emit_auto_verdict(
-                record["kernel"], "cached", lattice, shape, dtype,
-                winner.auto_timings,
-            )
-            return winner
-    # Equilibrium at rest (rho=1, u=0): f_i = w_i, numerically inert, so
-    # timing steps cannot go unstable no matter the tau.
-    f0 = np.empty((lattice.q, *shape), dtype=dtype)
-    f0[...] = lattice.weights_as(dtype).reshape((lattice.q,) + (1,) * len(shape))
-    kernels: dict[str, LBMKernel] = {}
-    timings: dict[str, float] = {}
-    with get_telemetry().span(
-        "kernel.auto.race",
-        lattice=lattice.name,
-        shape=list(shape),
-        dtype=dtype.name,
-        candidates=list(candidates),
-    ):
-        for name in candidates:
-            kernel = make_kernel(
-                name, lattice, tau, order=order, dtype=dtype, shape=shape
-            )
-            f = f0.copy()
-            for _ in range(max(1, warmup)):
-                f = kernel.step(f)
-            start = clock()
-            for _ in range(max(1, trials)):
-                f = kernel.step(f)
-            timings[name] = (clock() - start) / max(1, trials)
-            kernels[name] = kernel
-    best = min(timings, key=lambda name: (timings[name], name))
-    if cache_path is not None:
-        _write_auto_cache(cache_path, key, best, timings)
-    winner = kernels[best]
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "measured"
-    _emit_auto_verdict(best, "measured", lattice, shape, dtype, timings)
-    return winner

@@ -96,9 +96,9 @@ class Simulation:
         generic Guo path (the test oracle).
     kernel:
         Which stream/collide implementation advances the populations: a
-        registry name (``"roll"``, ``"fused-gather"``, ``"planned"``,
-        ``"naive"``), ``"auto"`` (measured selection on this very
-        shape/lattice/dtype), an :class:`~repro.core.kernels.LBMKernel`
+        registry name (``"planned"``, or the oracles ``"roll"`` and
+        ``"naive"``), ``"auto"`` (another spelling of ``"planned"``),
+        an :class:`~repro.core.kernels.LBMKernel`
         instance, or ``None``: the planned engine
         (:data:`~repro.core.plan.DEFAULT_KERNEL`) unless a custom
         ``collision`` is given.  Kernels own a BGK collision, so

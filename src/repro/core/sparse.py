@@ -21,26 +21,24 @@ the win that matters when an artery occupies a few percent of its
 bounding box — and the repo's population dtype policy applies
 (``dtype="float32"`` halves the per-node bytes again).
 
-Two kernels implement the update (the sparse rung of the kernel
-ladder, selectable through ``SparseSimulation(kernel=...)``, the case
-registry and ``kernel="auto"``):
+Two kernels implement the update, selectable through
+``SparseSimulation(kernel=...)`` and the case registry:
 
-* :class:`LegacySparseKernel` (``"sparse-legacy"``) — the original
-  fancy-index gather + :meth:`BGKCollision.apply`, allocating a fresh
-  ``(Q, N_fluid)`` buffer per step;
-* :class:`PlannedSparseKernel` (``"sparse-planned"``) — the domain's
+* :class:`PlannedSparseKernel` (``"sparse-planned"``, also spelled
+  ``"planned"`` or ``"auto"``; the default) — the domain's
   per-velocity neighbor lists flattened at plan time into one
   contiguous gather table driving a :class:`~repro.core.plan.KernelPlan`
   arena, so stream + collide (bounce-back links included — they are
   just more gather indices) runs with zero per-step heap allocations,
-  exactly like the dense planned kernel.
+  exactly like the dense planned kernel;
+* :class:`LegacySparseKernel` (``"sparse-legacy"``) — the original
+  fancy-index gather + :meth:`BGKCollision.apply`, allocating a fresh
+  ``(Q, N_fluid)`` buffer per step; kept as the test oracle.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,27 +50,15 @@ from .equilibrium import equilibrium
 from .fields import resolve_dtype
 from .forcing import GuoForcing
 from .moments import density, momentum
-from .plan import (
-    AUTO_KERNEL,
-    KERNEL_CACHE_DISABLE_ENV,
-    KERNELS,
-    PERF_MODEL_DISABLE_ENV,
-    KernelPlan,
-    _auto_cache_path,
-    _emit_auto_verdict,
-    _read_auto_cache,
-    _write_auto_cache,
-    kernel_cache_dir,
-)
+from .plan import KERNELS, KernelPlan, resolve_kernel_name
 from .simulation import StepTimings
 
 __all__ = [
-    "SPARSE_AUTO_CANDIDATES",
+    "SPARSE_KERNELS",
     "LegacySparseKernel",
     "PlannedSparseKernel",
     "SparseDomain",
     "SparseSimulation",
-    "auto_select_sparse_kernel",
     "build_sparse_gather_table",
     "make_sparse_kernel",
 ]
@@ -272,15 +258,18 @@ class PlannedSparseKernel(_SparseKernel):
         return self.plan.step_into(f, self.collision.omega)
 
 
-#: Candidates ``kernel="auto"`` races on a sparse domain.
-SPARSE_AUTO_CANDIDATES = ("sparse-legacy", "sparse-planned")
-
 #: Short selector names accepted by ``SparseSimulation(kernel=...)`` —
 #: the registry names without their ``sparse-`` prefix, mirroring how
 #: the distributed path spells its ladder.
 _SPARSE_ALIASES = {
     "legacy": "sparse-legacy",
     "planned": "sparse-planned",
+}
+
+#: Registry name -> sparse kernel class.
+SPARSE_KERNELS: dict[str, type[_SparseKernel]] = {
+    "sparse-legacy": LegacySparseKernel,
+    "sparse-planned": PlannedSparseKernel,
 }
 
 
@@ -291,220 +280,26 @@ def make_sparse_kernel(
     order: int | None = None,
     dtype: "np.dtype | str | None" = None,
     forcing: GuoForcing | None = None,
-    **auto_kwargs,
 ) -> _SparseKernel:
     """Resolve a sparse kernel selection to a ready instance.
 
-    ``kernel`` may be ``None``/``"planned"`` (the planned engine),
-    ``"legacy"`` (the allocating baseline, kept as the test oracle),
-    ``"auto"`` (model -> cached verdict -> timing race, like the dense
-    ladder), a full registry name
+    ``kernel`` may be ``None``/``"planned"``/``"auto"`` (the planned
+    engine), ``"legacy"`` (the allocating baseline, kept as the test
+    oracle), a full registry name
     (``"sparse-legacy"``/``"sparse-planned"``), or an already built
     sparse kernel instance (returned as-is).  ``forcing`` is the Guo
     body force the kernel's collision applies.
     """
     if isinstance(kernel, _SparseKernel):
         return kernel
-    key = "planned" if kernel is None else str(kernel).lower()
+    key = resolve_kernel_name("planned" if kernel is None else str(kernel).lower())
     key = _SPARSE_ALIASES.get(key, key)
-    if key == AUTO_KERNEL:
-        return auto_select_sparse_kernel(
-            domain, tau, order=order, dtype=dtype, forcing=forcing, **auto_kwargs
-        )
-    if key not in SPARSE_AUTO_CANDIDATES:
+    if key not in SPARSE_KERNELS:
         raise LatticeError(
             f"unknown sparse kernel {kernel!r}; available: legacy, planned, "
             "sparse-legacy, sparse-planned (or 'auto')"
         )
-    cls = LegacySparseKernel if key == "sparse-legacy" else PlannedSparseKernel
-    return cls(domain, tau, order=order, dtype=dtype, forcing=forcing)
-
-
-def _sparse_auto_key(
-    domain: SparseDomain,
-    order: int | None,
-    dtype: np.dtype,
-    candidates: Sequence[str],
-) -> dict:
-    """The identity a cached sparse verdict is valid for.
-
-    Same host-keyed contract as the dense ``_auto_cache_key``, plus the
-    sparse identity: fluid-site count, bounding box and fill fraction
-    (two masks with the same N_fluid but different geometry time alike —
-    the gather is one flat table either way — but the fill stamp keeps
-    the verdict honest across very different geometries).
-    """
-    import platform
-
-    from .equilibrium import equilibrium_order_for
-
-    return {
-        "host": platform.node(),
-        "mode": "sparse",
-        "lattice": domain.lattice.name,
-        "shape": [int(domain.num_fluid)],
-        "box": [int(s) for s in domain.shape],
-        "fill": round(domain.fill_fraction, 6),
-        "order": equilibrium_order_for(domain.lattice, order),
-        "dtype": dtype.name,
-        "candidates": list(candidates),
-    }
-
-
-def model_select_sparse_kernel(
-    domain: SparseDomain,
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = SPARSE_AUTO_CANDIDATES,
-    forcing: GuoForcing | None = None,
-) -> "_SparseKernel | None":
-    """Resolve sparse ``kernel="auto"`` from this host's calibration.
-
-    The fitted model predicts each candidate through the fill-aware
-    B(Q) (see :func:`repro.machine.roofline.sparse_bytes_per_cell`);
-    as on the dense path, a calibration that does not cover *every*
-    candidate abstains and the measured race decides.
-    """
-    from ..perf.model import load_calibration  # late: perf builds on core
-
-    calibration = load_calibration()
-    if calibration is None:
-        return None
-    dtype = resolve_dtype(dtype)
-    fill = domain.fill_fraction
-    rates = calibration.rank_kernels(
-        candidates,
-        domain.lattice.name,
-        dtype.name,
-        shape=(domain.num_fluid,),
-        fill=fill,
-    )
-    if set(rates) != set(candidates):
-        return None
-    cells = domain.num_fluid
-    timings = {name: cells / (rate * 1e6) for name, rate in rates.items()}
-    best = min(timings, key=lambda name: (timings[name], name))
-    winner = make_sparse_kernel(
-        best, domain, tau, order=order, dtype=dtype, forcing=forcing
-    )
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "model"
-    _emit_auto_verdict(
-        best,
-        "model",
-        domain.lattice,
-        (domain.num_fluid,),
-        dtype,
-        timings,
-        mode="sparse",
-        fill=fill,
-    )
-    return winner
-
-
-def auto_select_sparse_kernel(
-    domain: SparseDomain,
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = SPARSE_AUTO_CANDIDATES,
-    warmup: int = 1,
-    trials: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
-    cache: bool | None = None,
-    cache_dir: "str | Path | None" = None,
-    model: bool | None = None,
-    forcing: GuoForcing | None = None,
-) -> _SparseKernel:
-    """Sparse ``kernel="auto"``: model, then cached verdict, then race.
-
-    The same three-rung ladder as :func:`repro.core.plan.auto_select_kernel`,
-    sharing its verdict-cache files and ``kernel.auto`` telemetry, with
-    the sparse identity (fluid count, box, fill) in the cache key and
-    ``mode="sparse"``/``fill`` stamped on the verdict events so the perf
-    model can fit them separately from the dense cells.
-    """
-    if not candidates:
-        raise LatticeError("auto kernel selection needs at least one candidate")
-    dtype = resolve_dtype(dtype)
-    if model is None:
-        model = not os.environ.get(PERF_MODEL_DISABLE_ENV)
-    if model:
-        winner = model_select_sparse_kernel(
-            domain, tau, order=order, dtype=dtype, candidates=candidates,
-            forcing=forcing,
-        )
-        if winner is not None:
-            return winner
-    if cache is None:
-        cache = not os.environ.get(KERNEL_CACHE_DISABLE_ENV)
-    cache_path = None
-    if cache:
-        key = _sparse_auto_key(domain, order, dtype, candidates)
-        cache_path = _auto_cache_path(
-            Path(cache_dir) if cache_dir is not None else kernel_cache_dir(), key
-        )
-        record = _read_auto_cache(cache_path, key)
-        if record is not None:
-            winner = make_sparse_kernel(
-                record["kernel"], domain, tau, order=order, dtype=dtype,
-                forcing=forcing,
-            )
-            winner.auto_timings = {
-                str(k): float(v) for k, v in record.get("timings", {}).items()
-            }
-            winner.auto_cached = True
-            winner.auto_provenance = "cached"
-            _emit_auto_verdict(
-                record["kernel"],
-                "cached",
-                domain.lattice,
-                (domain.num_fluid,),
-                dtype,
-                winner.auto_timings,
-                mode="sparse",
-                fill=domain.fill_fraction,
-            )
-            return winner
-    # Equilibrium at rest (f_i = w_i) on the fluid sites: numerically
-    # inert under collision *and* bounce-back, so timing cannot diverge.
-    q = domain.lattice.q
-    f0 = np.empty((q, domain.num_fluid), dtype=dtype)
-    f0[...] = domain.lattice.weights_as(dtype).reshape(q, 1)
-    kernels: dict[str, _SparseKernel] = {}
-    timings: dict[str, float] = {}
-    for name in candidates:
-        kernel = make_sparse_kernel(
-            name, domain, tau, order=order, dtype=dtype, forcing=forcing
-        )
-        f = f0.copy()
-        for _ in range(max(1, warmup)):
-            f = kernel.step(f)
-        start = clock()
-        for _ in range(max(1, trials)):
-            f = kernel.step(f)
-        timings[name] = (clock() - start) / max(1, trials)
-        kernels[name] = kernel
-    best = min(timings, key=lambda name: (timings[name], name))
-    if cache_path is not None:
-        _write_auto_cache(cache_path, key, best, timings)
-    winner = kernels[best]
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "measured"
-    _emit_auto_verdict(
-        best,
-        "measured",
-        domain.lattice,
-        (domain.num_fluid,),
-        dtype,
-        timings,
-        mode="sparse",
-        fill=domain.fill_fraction,
-    )
-    return winner
+    return SPARSE_KERNELS[key](domain, tau, order=order, dtype=dtype, forcing=forcing)
 
 
 class SparseSimulation:
@@ -513,9 +308,9 @@ class SparseSimulation:
     The update is *pull*-form: for every fluid node and velocity, the
     post-streaming population is gathered through the neighbor table,
     then collided.  ``kernel`` selects the sparse rung —
-    ``"planned"`` (default, the zero-allocation planned gather),
-    ``"legacy"`` (allocating, the test oracle) or ``"auto"`` (model ->
-    cached verdict -> timing race, like the dense path).  ``force`` is a
+    ``"planned"`` (default, the zero-allocation planned gather; ``"auto"``
+    spells the same engine) or ``"legacy"`` (allocating, the test
+    oracle).  ``force`` is a
     constant body force with Guo coupling, the same second-order scheme
     (and, on the planned kernel, the same plan code) as the dense
     driver's :class:`~repro.core.forcing.GuoForcing`.
@@ -663,9 +458,9 @@ class SparseSimulation:
         return self.f.nbytes
 
 
-# Register the sparse rungs in the shared kernel registry so cached
-# verdicts validate and `available_kernels()` lists the full ladder.
-# Dense construction paths never reach these (make_kernel routes
-# sparse names through make_sparse_kernel, which needs a domain).
-KERNELS.setdefault("sparse-legacy", LegacySparseKernel)
-KERNELS.setdefault("sparse-planned", PlannedSparseKernel)
+# Register the sparse rungs in the shared kernel registry so
+# `available_kernels()` lists the full ladder.  Dense construction paths
+# never reach these (make_kernel routes sparse names through
+# make_sparse_kernel, which needs a domain).
+for _name, _cls in SPARSE_KERNELS.items():
+    KERNELS.setdefault(_name, _cls)

@@ -35,9 +35,10 @@ def pull_gather_rows(lattice: VelocitySet, shape: tuple[int, ...]) -> np.ndarray
     The periodic pull formulation of streaming as precomputed index
     arithmetic (the paper's "minimize index calculation" optimization):
     gathering ``f[i].ravel()[rows[i]]`` equals push-streaming ``f[i]``.
-    Shared by :class:`~repro.core.kernels.FusedGatherKernel` and
-    :class:`~repro.core.plan.KernelPlan`, so there is exactly one copy
-    of the index math.  Shape ``(Q, N)``, ``N = prod(shape)``.
+    The planned engine's gather tables
+    (:func:`~repro.core.plan.build_gather_table` and its AoS variant)
+    are built from it, so there is exactly one copy of the index math.
+    Shape ``(Q, N)``, ``N = prod(shape)``.
     """
     shape = tuple(int(s) for s in shape)
     n = int(np.prod(shape))

@@ -20,7 +20,6 @@ from .model import (
     fit_samples,
     load_calibration,
     samples_from_bench,
-    samples_from_events,
     save_calibration,
 )
 from .noise import JitterModel
@@ -64,7 +63,6 @@ __all__ = [
     "ModelEntry",
     "Prediction",
     "samples_from_bench",
-    "samples_from_events",
     "save_calibration",
     "HybridSweepPoint",
     "JitterModel",

@@ -92,8 +92,8 @@ def _distributed_kernel(spec: CaseSpec) -> str:
 
     The distributed solver has two implementations: the planned
     windowed kernel (selected when the spec runs planned, the default)
-    and the legacy pair (everything else — roll/fused-gather/naive share
-    the legacy pair's arithmetic to rounding, so it is the faithful
+    and the legacy pair (everything else — roll and naive share the
+    legacy pair's arithmetic to rounding, so it is the faithful
     counterpart for them).
     """
     return "planned" if spec.planned else "legacy"

@@ -85,7 +85,6 @@ def run_case_cli(
     kernel: str | None = None,
     dtype: str | None = None,
     layout: str | None = None,
-    kernel_cache: bool = True,
     cache_dir: str | None = None,
     as_json: bool = False,
 ) -> int:
@@ -106,13 +105,9 @@ def run_case_cli(
         kernel=kernel,
         dtype=dtype,
         layout=layout,
-        kernel_cache=kernel_cache,
         cache_dir=cache_dir,
     )
     info = sys.stderr if as_json else sys.stdout
-    auto = outcome.auto_kernel
-    if auto is not None:
-        print(f"kernel auto -> {auto.name} ({auto.label})", file=info)
     if outcome.cached:
         print(f"cache hit: {outcome.fingerprint} (0 steps executed)", file=info)
     if as_json:
@@ -394,7 +389,6 @@ def run_perf_model_cli(
     action: str,
     *,
     bench: Sequence[str] = (),
-    telemetry: Sequence[str] = (),
     host: str | None = None,
     path: str | None = None,
     kernel: str | None = None,
@@ -407,7 +401,7 @@ def run_perf_model_cli(
     """The ``repro perf-model fit|show|predict`` workflow.
 
     ``fit`` least-squares the calibration from committed bench records
-    (plus optional telemetry runs) and persists it to the per-host
+    and persists it to the per-host
     calibration file; ``show`` prints what is persisted; ``predict``
     answers one (kernel, lattice, dtype, shape, ranks) query from it
     via :func:`repro.api.predict_cost`.
@@ -415,12 +409,11 @@ def run_perf_model_cli(
     from ..perf import model as perf_model
 
     if action == "fit":
-        if not bench and not telemetry:
+        if not bench:
             raise ScenarioError(
-                "perf-model fit needs at least one BENCH_*.json record "
-                "or --telemetry directory"
+                "perf-model fit needs at least one BENCH_*.json record"
             )
-        fitted = perf_model.fit(bench, telemetry_roots=telemetry, host=host)
+        fitted = perf_model.fit(bench, host=host)
         for line in fitted.summary_lines():
             print(line)
         written = perf_model.save_calibration(fitted, path)
@@ -508,15 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument(
         "--kernel",
         default=None,
-        help="stream/collide kernel: naive, roll, fused-gather, planned, "
-        "or auto (measured selection, verdict cached per host/shape/"
-        "lattice/dtype)",
-    )
-    case.add_argument(
-        "--no-kernel-cache",
-        action="store_true",
-        help="with --kernel auto: always re-time the candidates instead "
-        "of reading/writing the per-host verdict cache",
+        help="stream/collide kernel: planned (the default engine; 'auto' "
+        "is the same), or the oracles roll and naive",
     )
     case.add_argument(
         "--dtype",
@@ -878,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_model = sub.add_parser(
         "perf-model",
         help="fit, inspect, or query the per-host performance calibration "
-        "that resolves kernel=auto and packs sweeps by predicted cost",
+        "that packs sweeps by predicted cost",
     )
     perf_model.add_argument(
         "action",
@@ -891,14 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="BENCH.json",
         help="exported bench records to fit from (fit)",
-    )
-    perf_model.add_argument(
-        "--telemetry",
-        action="append",
-        default=[],
-        metavar="DIR",
-        help="telemetry event directory whose measured kernel.auto "
-        "verdicts also feed the fit (repeatable)",
     )
     perf_model.add_argument(
         "--host",
@@ -966,7 +944,6 @@ def main(argv: Sequence[str]) -> int:
                 kernel=args.kernel,
                 dtype=args.dtype,
                 layout=args.layout,
-                kernel_cache=not args.no_kernel_cache,
                 cache_dir=args.cache_dir,
                 as_json=args.as_json,
             )
@@ -984,7 +961,6 @@ def main(argv: Sequence[str]) -> int:
             return run_perf_model_cli(
                 args.action,
                 bench=args.bench,
-                telemetry=args.telemetry,
                 host=args.host,
                 path=args.path,
                 kernel=args.kernel,
@@ -1040,7 +1016,7 @@ def main(argv: Sequence[str]) -> int:
             as_json=args.as_json,
         )
     except (ReproError, OSError) as exc:
-        # ReproError covers ScenarioError plus the LatticeError family an
-        # auto-kernel resolution can raise.
+        # ReproError covers ScenarioError plus the LatticeError family a
+        # kernel or lattice build can raise.
         print(f"error: {exc}", file=sys.stderr)
         return 2

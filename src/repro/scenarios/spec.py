@@ -172,12 +172,13 @@ class CaseSpec:
     order:
         Hermite equilibrium order (``None`` = lattice native).
     kernel:
-        Stream/collide kernel name (``"roll"``, ``"fused-gather"``,
-        ``"planned"``, ``"naive"``); ``None`` = the driver's default,
-        the planned engine (or, with a ``collision`` factory, the
-        legacy pair).  Mutually exclusive with a ``collision`` factory.
-        ``"auto"`` is rejected here — a spec must be deterministic for
-        the sweep cache; use ``Simulation(kernel="auto")`` directly.
+        Stream/collide kernel name: ``"planned"`` (the engine) or one of
+        its oracles, ``"roll"`` and ``"naive"``; ``None`` = the driver's
+        default, the planned engine (or, with a ``collision`` factory,
+        the legacy pair).  Mutually exclusive with a ``collision``
+        factory.  ``"auto"`` is not a spec value: the :mod:`repro.api`
+        entry points resolve it to ``"planned"`` before the spec is
+        built, so both spellings share one fingerprint.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"``.  Fingerprint-sensitive, like ``kernel``: sweep
@@ -305,19 +306,14 @@ class CaseSpec:
             from ..core.plan import AUTO_KERNEL, available_kernels
 
             if self.kernel == AUTO_KERNEL:
-                # A spec is a *deterministic* declaration: 'auto' picks
-                # whichever kernel wins a timing race on the executing
-                # host, so one fingerprint could cache different
-                # kernels' (tolerance- but not bit-identical) results —
-                # breaking the sweep cache's byte-identity guarantee.
-                # Measured selection stays available on the driver:
-                # Simulation(kernel="auto").
+                # One kernel, one spelling: a spec recording 'auto' would
+                # fingerprint (and cache) apart from the 'planned' it
+                # runs.  The api's kernel= option resolves the alias.
                 raise ScenarioError(
-                    f"case {self.name!r}: kernel 'auto' is per-host "
-                    "timing-dependent and not allowed in a (cacheable, "
-                    "fingerprinted) spec; pick one of "
-                    f"{', '.join(available_kernels())}, or use "
-                    "Simulation(kernel='auto') directly"
+                    f"case {self.name!r}: kernel 'auto' is an alias, not a "
+                    "spec value; spell it 'planned' (the --kernel option "
+                    "resolves 'auto' to it), or pick one of "
+                    f"{', '.join(available_kernels())}"
                 )
             if sparse:
                 # Sparse cases resolve through make_sparse_kernel, which

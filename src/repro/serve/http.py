@@ -211,19 +211,13 @@ def _check_fields(body: dict[str, Any], allowed: frozenset) -> None:
         )
 
 
-def _check_kernel(kernel: str | None) -> str | None:
-    if kernel == "auto":
-        raise ValueError(
-            "kernel='auto' is timing-dependent and would make identical "
-            "requests fingerprint differently; resolve it client-side "
-            "(`repro case ... --kernel auto`) and submit the winner"
-        )
-    return kernel
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Headers and body leave in separate sends; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per
+    # answer on a kept-alive connection).
+    disable_nagle_algorithm = True
     server: ReproServer  # narrowed from BaseServer for attribute access
 
     def setup(self) -> None:
@@ -395,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
             case=case,
             overrides=overrides,
             steps=_require_steps(body),
-            kernel=_check_kernel(_require_str(body, "kernel")),
+            kernel=_require_str(body, "kernel"),
             dtype=_require_str(body, "dtype"),
         )
         if payload is not None:
@@ -420,7 +414,7 @@ class _Handler(BaseHTTPRequestHandler):
             case=case,
             grid=grid,
             steps=_require_steps(body),
-            kernel=_check_kernel(_require_str(body, "kernel")),
+            kernel=_require_str(body, "kernel"),
             dtype=_require_str(body, "dtype"),
         )
         if result is not None:

@@ -1,52 +1,9 @@
-"""Tests for the space-major layout kernel."""
+"""Tests for the SoA/AoS population layout axis."""
 
 import numpy as np
 import pytest
 
-from repro.core import RollKernel, SpaceMajorKernel, equilibrium
 from repro.lattice import get_lattice
-
-
-def _state(lattice, shape=(5, 4, 3), seed=2):
-    rng = np.random.default_rng(seed)
-    rho = 1.0 + 0.02 * rng.standard_normal(shape)
-    u = 0.02 * rng.standard_normal((3, *shape))
-    return equilibrium(lattice, rho, u) + 1e-4 * rng.standard_normal(
-        (lattice.q, *shape)
-    )
-
-
-class TestSpaceMajorKernel:
-    @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
-    def test_matches_velocity_major(self, lname):
-        lat = get_lattice(lname)
-        f = _state(lat)
-        a = RollKernel(lat, tau=0.8).step(f.copy())
-        b = SpaceMajorKernel(lat, tau=0.8).step(f.copy())
-        assert np.allclose(a, b, atol=1e-13)
-
-    def test_native_layout_roundtrip(self, q19):
-        f = _state(q19)
-        kernel = SpaceMajorKernel(q19, tau=0.9)
-        f_sm = np.ascontiguousarray(np.moveaxis(f, 0, -1))
-        native = kernel.step_native(f_sm)
-        via_api = kernel.step(f.copy())
-        assert np.allclose(np.moveaxis(native, -1, 0), via_api, atol=1e-14)
-
-    def test_multi_step(self, q39):
-        lat = q39
-        f = _state(lat, shape=(4, 4, 4))
-        a, b = f.copy(), f.copy()
-        k1, k2 = RollKernel(lat, 0.7), SpaceMajorKernel(lat, 0.7)
-        for _ in range(4):
-            a = k1.step(a)
-            b = k2.step(b)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_mass_conserved(self, q19):
-        f = _state(q19)
-        out = SpaceMajorKernel(q19, 0.8).step(f.copy())
-        assert out.sum() == pytest.approx(f.sum(), rel=1e-13)
 
 
 class TestFieldLayouts:

@@ -8,19 +8,18 @@ import pytest
 from repro.core import (
     AUTO_KERNEL,
     BounceBackWalls,
-    FusedGatherKernel,
     KernelPlan,
     NaiveKernel,
     PlannedKernel,
     RollKernel,
     Simulation,
-    auto_select_kernel,
     available_kernels,
     equilibrium,
     make_kernel,
+    resolve_kernel_name,
     stream_periodic,
 )
-from repro.core.plan import AUTO_CANDIDATES, build_gather_table
+from repro.core.plan import build_gather_table
 from repro.errors import LatticeError
 from repro.lattice import get_lattice
 
@@ -32,7 +31,7 @@ LATTICE_ORDERS = [
     for order in range(1, get_lattice(lname).equilibrium_order + 1)
 ]
 
-FAST_KERNELS = (RollKernel, FusedGatherKernel, PlannedKernel)
+FAST_KERNELS = (RollKernel, PlannedKernel)
 
 
 def _initial_state(lattice, shape, seed=7, dtype=np.float64):
@@ -172,7 +171,6 @@ class TestSelection:
         assert set(available_kernels()) == {
             "naive",
             "roll",
-            "fused-gather",
             "planned",
             "sparse-legacy",
             "sparse-planned",
@@ -197,30 +195,20 @@ class TestSelection:
         with pytest.raises(LatticeError, match="unknown kernel"):
             make_kernel("simd", q19, tau=0.8)
 
-    def test_auto_requires_shape(self, q19):
-        with pytest.raises(LatticeError, match="shape"):
-            make_kernel(AUTO_KERNEL, q19, tau=0.8)
-
-    def test_auto_select_picks_fastest(self, q19):
-        """With an injected clock, selection is a pure argmin."""
-        fake_times = iter(range(100))
-
-        def clock():
-            return float(next(fake_times))
-
-        # Each candidate's (start, stop) reads advance the fake clock by
-        # the same amount, so the tie-break picks the first name in
-        # sorted order among equals -> deterministic.  cache=False keeps
-        # this a pure argmin (no verdict read or written).
-        kernel = auto_select_kernel(
-            q19, (4, 4, 4), tau=0.8, clock=clock, warmup=1, trials=1, cache=False
-        )
-        assert kernel.name in AUTO_CANDIDATES
-        assert set(kernel.auto_timings) == set(AUTO_CANDIDATES)
-
-    def test_auto_select_real_timing_smoke(self, q19):
-        kernel = auto_select_kernel(q19, (8, 8, 8), tau=0.8)
-        assert all(t > 0 for t in kernel.auto_timings.values())
+    @pytest.mark.parametrize("spelling", [AUTO_KERNEL, "AUTO"])
+    def test_auto_is_the_planned_engine_with_or_without_shape(
+        self, q19, spelling
+    ):
+        """'auto' resolves to the planned engine without timing anything;
+        no grid shape is needed to resolve it."""
+        assert resolve_kernel_name(spelling) == "planned"
+        assert resolve_kernel_name("roll") == "roll"
+        bare = make_kernel(spelling, q19, tau=0.8)
+        assert isinstance(bare, PlannedKernel)
+        shaped = make_kernel(spelling, q19, tau=0.8, shape=(4, 4, 4))
+        assert isinstance(shaped, PlannedKernel)
+        aos = make_kernel(spelling, q19, tau=0.8, layout="aos")
+        assert isinstance(aos, PlannedKernel) and aos.layout == "aos"
 
 
 class TestSimulationPlumbing:
@@ -230,7 +218,7 @@ class TestSimulationPlumbing:
         u = 0.01 * rng.standard_normal((3, *sim.shape))
         sim.initialize(rho, u)
 
-    @pytest.mark.parametrize("kernel", ["roll", "fused-gather", "planned"])
+    @pytest.mark.parametrize("kernel", ["roll", "planned"])
     def test_kernel_matches_default_path(self, kernel):
         shape = (8, 8, 8)
         ref = Simulation("D3Q19", shape, tau=0.8)
@@ -253,7 +241,7 @@ class TestSimulationPlumbing:
         sim.run(2)
         assert np.allclose(sim.f, ref.f, atol=1e-13)
 
-    @pytest.mark.parametrize("kernel_cls", [NaiveKernel, FusedGatherKernel])
+    @pytest.mark.parametrize("kernel_cls", [NaiveKernel, PlannedKernel])
     def test_split_api_overridden_not_inherited(self, kernel_cls, q19):
         """Each selectable kernel must supply its own split stream()
         (otherwise Simulation would silently run the roll fallback)."""
@@ -264,16 +252,6 @@ class TestSimulationPlumbing:
         f = _initial_state(q19, shape)
         kernel = kernel_cls(q19, 0.8)
         out = kernel.stream(f.copy(), out=np.empty_like(f))
-        assert np.array_equal(out, stream_periodic(q19, f))
-
-    def test_fused_gather_stream_honours_strided_out(self, q19):
-        """A non-contiguous out must receive the streamed values (not a
-        throwaway reshape copy)."""
-        shape = (4, 3, 4)
-        f = _initial_state(q19, shape)
-        backing = np.full((q19.q, 4, 3, 8), -1.0)
-        out = backing[:, :, :, ::2]
-        FusedGatherKernel(q19, 0.8).stream(f, out=out)
         assert np.array_equal(out, stream_periodic(q19, f))
 
     def test_kernel_with_boundaries(self):
@@ -334,13 +312,15 @@ class TestSimulationPlumbing:
                 collision=BGKCollision(lat, 0.8),
             )
 
-    def test_auto_kernel_runs(self):
-        sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-        assert sim.kernel is not None
-        assert sim.kernel.name in AUTO_CANDIDATES
-        self._init(sim)
-        sim.run(3)
-        assert np.isfinite(sim.f).all()
+    def test_auto_kernel_is_the_planned_engine(self):
+        runs = {}
+        for kernel in ("auto", "planned"):
+            sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel=kernel)
+            assert isinstance(sim.kernel, PlannedKernel)
+            self._init(sim)
+            sim.run(3)
+            runs[kernel] = sim.f
+        assert np.array_equal(runs["auto"], runs["planned"])
 
     def test_float32_simulation_tracks_float64(self):
         shape = (8, 8, 8)
@@ -370,67 +350,3 @@ class TestKernelPlanObject:
     def test_order_above_lattice_rejected(self, q19):
         with pytest.raises(LatticeError):
             KernelPlan(q19, (4, 4, 4), order=3)
-
-
-class TestAutoVerdictCache:
-    """kernel='auto' caches its verdict per (host, shape, lattice,
-    order, dtype, candidates) so repeated builds skip re-timing."""
-
-    def test_verdict_cached_and_reused(self, q19, tmp_path):
-        first = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert first.auto_cached is False
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        second = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert second.auto_cached is True
-        assert second.name == first.name
-        assert second.auto_timings == first.auto_timings
-
-    def test_key_distinguishes_shape_and_dtype(self, q19, tmp_path):
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        auto_select_kernel(q19, (7, 6, 6), tau=0.8, cache_dir=tmp_path)
-        auto_select_kernel(
-            q19, (6, 6, 6), tau=0.8, dtype="float32", cache_dir=tmp_path
-        )
-        assert len(list(tmp_path.glob("*.json"))) == 3
-
-    def test_tau_does_not_change_the_key(self, q19, tmp_path):
-        """tau scales the arithmetic, not the memory behaviour being
-        raced, so verdicts are shared across tau values."""
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        hit = auto_select_kernel(q19, (6, 6, 6), tau=0.9, cache_dir=tmp_path)
-        assert hit.auto_cached is True
-        assert hit.collision.tau == 0.9
-
-    def test_corrupt_record_retimes(self, q19, tmp_path):
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        (record,) = tmp_path.glob("*.json")
-        record.write_text("{not json")
-        kernel = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert kernel.auto_cached is False
-
-    def test_cache_false_neither_reads_nor_writes(self, q19, tmp_path):
-        kernel = auto_select_kernel(
-            q19, (6, 6, 6), tau=0.8, cache=False, cache_dir=tmp_path
-        )
-        assert kernel.auto_cached is False
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_env_disable(self, q19, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_KERNEL_CACHE", "1")
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_cache_dir_env_override(self, q19, tmp_path, monkeypatch):
-        from repro.core import kernel_cache_dir
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kc"))
-        assert kernel_cache_dir() == tmp_path / "kc"
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8)
-        assert len(list((tmp_path / "kc").glob("*.json"))) == 1
-
-    def test_simulation_auto_uses_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-        sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-        assert sim.kernel.auto_cached is True

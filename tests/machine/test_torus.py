@@ -66,3 +66,30 @@ class TestTopology:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             TorusTopology((0, 4), BLUE_GENE_P)
+
+
+class TestNeighbors:
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (2, 3), (1, 3)])
+    def test_matches_networkx_periodic_grid(self, shape):
+        nx = pytest.importorskip("networkx")
+        torus = TorusTopology(shape, BLUE_GENE_P)
+        # grid_graph reads `dim` in reverse relative to its node tuples.
+        graph = nx.grid_graph(dim=list(reversed(shape)), periodic=True)
+        for coord in torus.coordinates():
+            ours = torus.neighbors(coord)
+            assert len(ours) == len(set(ours))
+            # networkx lists a node as its own neighbor through the
+            # self-loop an extent of 1 produces; a torus link never is.
+            assert set(ours) == set(graph.neighbors(coord)) - {coord}
+
+    def test_one_dimensional_ring(self):
+        torus = TorusTopology((4,), BLUE_GENE_P)
+        assert sorted(torus.neighbors((0,))) == [(1,), (3,)]
+        assert TorusTopology((2,), BLUE_GENE_P).neighbors((0,)) == [(1,)]
+        assert TorusTopology((1,), BLUE_GENE_P).neighbors((0,)) == []
+
+    def test_off_torus_coordinate_rejected(self):
+        with pytest.raises(ValueError):
+            TorusTopology((4, 4), BLUE_GENE_P).neighbors((4, 0))
+        with pytest.raises(ValueError):
+            TorusTopology((4, 4), BLUE_GENE_P).neighbors((0,))

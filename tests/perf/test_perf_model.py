@@ -23,7 +23,6 @@ from repro.perf.model import (
     fit_samples,
     load_calibration,
     samples_from_bench,
-    samples_from_events,
     save_calibration,
 )
 
@@ -101,45 +100,6 @@ class TestSampleExtraction:
         samples, _ = samples_from_bench(record)
         assert samples[0].host == "bench-host"
 
-    def test_events_only_measured_verdicts_feed_the_fit(self):
-        events = [
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "measured",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"roll": 2.5, "planned": 6.0},
-                },
-            },
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "cached",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"roll": 2.5},
-                },
-            },
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "model",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"planned": 6.0},
-                },
-            },
-            {"type": "span", "name": "kernel.auto.race", "seconds": 0.1},
-        ]
-        samples = samples_from_events(events)
-        assert len(samples) == 2  # one per raced candidate, measured only
-        assert {s.kernel for s in samples} == {"roll", "planned"}
-
-
 class TestFit:
     def test_round_trip_within_tolerance(self, history_model):
         """Every measured row predicts back within run-to-run noise.
@@ -216,13 +176,13 @@ class TestFit:
             )
         )
 
-    def test_rank_kernels_orders_the_ladder(self, history_model):
-        rates = history_model.rank_kernels(
-            ("roll", "fused-gather", "planned"), "D3Q19", "float64"
-        )
+    def test_history_puts_planned_on_top(self, history_model):
+        rates = {
+            kernel: history_model.predict_mflups(kernel, "D3Q19", "float64")
+            for kernel in ("roll", "fused-gather", "planned")
+        }
         # The committed history's single-node ladder: planned on top.
         assert max(rates, key=rates.get) == "planned"
-        assert rates["planned"] > rates["roll"]
 
 
 class TestPersistence:
@@ -258,120 +218,24 @@ class TestPersistence:
         with pytest.raises(PerfModelError, match="schema"):
             FittedPerfModel.from_json({"schema": 99})
 
-    def test_fit_from_telemetry_run(self, tmp_path):
-        """A telemetry directory's measured verdicts are fit input."""
-        events = [
-            {"type": "meta", "name": "process.start"},
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "measured",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"roll": 2.5, "planned": 6.0},
-                },
-            },
-        ]
-        run = tmp_path / "telemetry"
-        run.mkdir()
-        (run / "events-p1.jsonl").write_text(
-            "\n".join(json.dumps(e) for e in events) + "\n"
-        )
-        model = fit((), telemetry_roots=[run], host="h")
-        assert model.predict_mflups("planned", "D3Q19") == pytest.approx(6.0)
+    def test_calibration_root_honours_env_then_xdg(self, tmp_path, monkeypatch):
+        from repro.perf.model import kernel_cache_dir
 
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kc"))
+        assert kernel_cache_dir() == tmp_path / "kc"
+        monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert kernel_cache_dir() == tmp_path / "xdg" / "repro" / "kernel-auto"
 
-class TestAutoResolution:
-    """kernel='auto' resolves from the calibration without timing."""
+    def test_cli_fit_writes_where_load_reads(self, tmp_path, monkeypatch, capsys):
+        import platform
 
-    @pytest.fixture
-    def calibrated(self, tmp_path, monkeypatch):
+        from repro.__main__ import main
+
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_NO_PERF_MODEL", raising=False)
-        model = fit_samples(bench_samples())  # host defaults to this node
-        save_calibration(model)
-        return model
-
-    @staticmethod
-    def _no_clock():
-        raise AssertionError("timing clock read: a measurement race ran")
-
-    def test_model_resolves_without_measurement(self, calibrated, q19):
-        from repro.core.plan import auto_select_kernel
-        from repro.telemetry.recorder import (
-            NULL_TELEMETRY,
-            Telemetry,
-            set_telemetry,
-        )
-
-        recorder = Telemetry.in_memory()
-        set_telemetry(recorder)
-        try:
-            winner = auto_select_kernel(
-                q19, (8, 8, 8), tau=0.8, clock=self._no_clock
-            )
-        finally:
-            set_telemetry(NULL_TELEMETRY)
-        assert winner.auto_provenance == "model"
-        events = recorder.events()
-        spans = [e for e in events if e.get("type") == "span"]
-        assert spans == []  # acceptance: no measurement spans at all
-        (verdict,) = [e for e in events if e.get("name") == "kernel.auto"]
-        assert verdict["attrs"]["provenance"] == "model"
-        assert winner.name in verdict["attrs"]["mflups"]
-
-    def test_model_agrees_with_measurement_on_d3q19_float64(
-        self, calibrated, q19
-    ):
-        """The ISSUE's winner-agreement cell: the model's pick matches
-        an actual timing race on (D3Q19, float64)."""
-        from repro.core.plan import auto_select_kernel, model_select_kernel
-
-        predicted = model_select_kernel(q19, (16, 16, 16), tau=0.8)
-        assert predicted is not None
-        measured = auto_select_kernel(
-            q19, (16, 16, 16), tau=0.8, model=False, cache=False, trials=4
-        )
-        assert predicted.name == measured.name
-
-    def test_partial_coverage_falls_through_to_race(self, calibrated, q19):
-        from repro.core.plan import model_select_kernel
-
-        # naive was never benchmarked: a candidate set including it is
-        # not fully covered, so the model refuses to crown a winner.
-        assert (
-            model_select_kernel(
-                q19, (8, 8, 8), tau=0.8, candidates=("naive", "planned")
-            )
-            is None
-        )
-
-    def test_env_disable_skips_the_model(self, calibrated, q19, monkeypatch):
-        from repro.core.plan import auto_select_kernel
-
-        monkeypatch.setenv("REPRO_NO_PERF_MODEL", "1")
-        winner = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache=False)
-        assert winner.auto_provenance == "measured"
-
-    def test_race_emits_span_and_measured_verdict(self, tmp_path, monkeypatch, q19):
-        from repro.core.plan import auto_select_kernel
-        from repro.telemetry.recorder import (
-            NULL_TELEMETRY,
-            Telemetry,
-            set_telemetry,
-        )
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))  # no model
-        recorder = Telemetry.in_memory()
-        set_telemetry(recorder)
-        try:
-            auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache=False)
-        finally:
-            set_telemetry(NULL_TELEMETRY)
-        events = recorder.events()
-        assert [e["name"] for e in events if e.get("type") == "span"] == [
-            "kernel.auto.race"
-        ]
-        (verdict,) = [e for e in events if e.get("name") == "kernel.auto"]
-        assert verdict["attrs"]["provenance"] == "measured"
+        assert main(["perf-model", "fit", *map(str, BENCH_PATHS)]) == 0
+        written = calibration_path()
+        assert written.parent == tmp_path / "perf-model"
+        assert f"wrote {written}" in capsys.readouterr().out
+        loaded = load_calibration()
+        assert loaded is not None and loaded.host == platform.node()

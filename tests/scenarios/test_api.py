@@ -17,7 +17,6 @@ class TestCaseRequest:
         request = api.case_request(CASE, steps=5, overrides=SMALL)
         assert request.fingerprint == request.spec.fingerprint()
         assert request.overrides["steps"] == 5
-        assert request.auto_kernel is None
 
     def test_decoded_json_overrides_fingerprint_identically(self):
         # JSON bodies carry lists; decode_overrides retuples them so the
@@ -64,6 +63,44 @@ class TestRunCase:
                 cache_dir=tmp_path,
                 checkpoint=str(tmp_path / "x.npz"),
             )
+
+
+class TestAutoSpelling:
+    """kernel='auto' is resolved to 'planned' before the spec is built:
+    same fingerprint, same cache entry, same bytes."""
+
+    def test_case_request_records_planned(self):
+        auto = api.case_request(CASE, steps=5, overrides=SMALL, kernel="auto")
+        planned = api.case_request(CASE, steps=5, overrides=SMALL, kernel="planned")
+        assert auto.overrides["kernel"] == "planned"
+        assert auto.spec.kernel == "planned"
+        assert auto.fingerprint == planned.fingerprint
+
+    def test_run_case_payload_and_cache_entry_shared(self, tmp_path):
+        auto = api.run_case(
+            CASE, steps=5, overrides=SMALL, kernel="auto", cache_dir=tmp_path
+        )
+        assert not auto.cached
+        planned = api.run_case(
+            CASE, steps=5, overrides=SMALL, kernel="planned", cache_dir=tmp_path
+        )
+        assert planned.cached  # the 'auto' run warmed the planned entry
+        assert render_response("case", auto.payload) == render_response(
+            "case", planned.payload
+        )
+
+    def test_sweeps_resolve_auto(self, tmp_path):
+        grid = {"tau": [0.7, 0.8]}
+        auto = api.sweep_request(CASE, grid, steps=5, kernel="auto")
+        planned = api.sweep_request(CASE, grid, steps=5, kernel="planned")
+        assert auto.fingerprints == planned.fingerprints
+        ran = {
+            kernel: api.sweep_payload(
+                api.run_sweep(CASE, grid, steps=5, kernel=kernel)
+            )
+            for kernel in ("auto", "planned")
+        }
+        assert ran["auto"] == ran["planned"]
 
 
 class TestSweepRequest:

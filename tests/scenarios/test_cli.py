@@ -246,46 +246,27 @@ class TestParsing:
             _parse_grid(["kn="])
 
 
-class TestAutoKernelResolution:
-    """`case --kernel auto` resolves to a concrete kernel before the
-    (deterministic, fingerprinted) spec, through the per-host verdict
-    cache."""
+class TestAutoKernelSpelling:
+    """`--kernel auto` is the planned engine: it resolves before the
+    (fingerprinted) spec is built, so outputs match `--kernel planned`."""
 
-    def _run(self, *extra):
-        return main(
-            ["case", "taylor-green", "--steps", "20", "--kernel", "auto", *extra]
-        )
+    def test_case_json_byte_identical_to_planned(self, capsys):
+        bodies = {}
+        for kernel in ("auto", "planned"):
+            code = main(["case", "taylor-green", "--steps", "20",
+                         "--kernel", kernel, "--json"])
+            assert code == 0
+            bodies[kernel] = capsys.readouterr().out
+        assert bodies["auto"] == bodies["planned"]
 
-    def test_auto_resolves_and_reports(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        assert self._run() == 0
-        out = capsys.readouterr().out
-        assert "kernel auto ->" in out
-        assert "(measured)" in out
-        assert len(list(tmp_path.glob("*.json"))) == 1
-
-    def test_second_run_hits_the_verdict_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        assert self._run() == 0
-        capsys.readouterr()
-        assert self._run() == 0
-        assert "(cached verdict)" in capsys.readouterr().out
-
-    def test_no_kernel_cache_always_re_times(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        assert self._run("--no-kernel-cache") == 0
-        assert "(measured)" in capsys.readouterr().out
-        assert list(tmp_path.glob("*.json")) == []
-        assert self._run("--no-kernel-cache") == 0
-        assert "(measured)" in capsys.readouterr().out
-
-    def test_sweep_still_rejects_auto(self, capsys):
-        code = main(
-            ["sweep", "taylor-green", "--param", "tau=0.7,0.8", "--steps", "5",
-             "--kernel", "auto"]
-        )
-        assert code == 2
-        assert "timing-dependent" in capsys.readouterr().err
+    def test_sweep_table_identical_to_planned(self, capsys):
+        tables = {}
+        for kernel in ("auto", "planned"):
+            code = main(["sweep", "taylor-green", "--param", "tau=0.7,0.8",
+                         "--steps", "5", "--kernel", kernel])
+            assert code == 0
+            tables[kernel] = capsys.readouterr().out
+        assert tables["auto"] == tables["planned"]
 
 
 class TestTelemetryFlags:

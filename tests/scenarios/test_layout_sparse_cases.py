@@ -65,7 +65,6 @@ class TestLayoutEquivalence:
             "taylor-green", kernel="auto", layout="aos"
         )
         assert request.overrides["kernel"] == "planned"
-        assert request.auto_kernel.provenance == "layout"
 
     def test_cli_layout_flag(self, capsys):
         code = main([

@@ -84,6 +84,29 @@ class TestWarmCase:
         assert status == 200
         assert envelope["data"]["case"] == CASE
 
+    def test_kernel_auto_is_the_planned_entry(self, server, tmp_path, monkeypatch):
+        """'auto' spells the planned engine: a request for it hits the
+        warm entry of kernel='planned', with the same job id and body."""
+        outcome = api.run_case(
+            CASE,
+            steps=5,
+            overrides=api.decode_overrides(BODY["overrides"]),
+            kernel="planned",
+            cache_dir=tmp_path,
+        )
+        from repro.scenarios.runner import CaseRunner
+
+        def boom(self, **kwargs):
+            raise AssertionError("kernel=auto must hit the planned entry")
+
+        monkeypatch.setattr(CaseRunner, "run", boom)
+        _, planned_raw, _ = request(server, "/v1/case", {**BODY, "kernel": "planned"})
+        status, raw, _ = request(server, "/v1/case", {**BODY, "kernel": "auto"})
+        assert status == 200
+        assert raw == planned_raw
+        jobs = sorted(p.name for p in (tmp_path / "jobs").glob("*.json"))
+        assert jobs == [f"{outcome.fingerprint}.json"]
+
 
 class TestColdLifecycle:
     def test_queued_to_done_through_a_worker(self, server, tmp_path):
@@ -180,13 +203,6 @@ class TestValidation:
             request(server, "/v1/case", {"case": "nope"}), 400, "unknown case"
         )
 
-    def test_kernel_auto_is_rejected(self, server):
-        self.assert_error(
-            request(server, "/v1/case", {"case": CASE, "kernel": "auto"}),
-            400,
-            "timing-dependent",
-        )
-
     def test_sweep_needs_a_grid_of_lists(self, server):
         self.assert_error(
             request(server, "/v1/sweep", {"case": CASE}), 400, "'grid'"
@@ -210,6 +226,28 @@ class TestValidation:
 
 
 class TestReadOnlyEndpoints:
+    def test_kept_alive_connection_answers_promptly(self, server):
+        """Ten requests on one HTTP/1.1 connection: with Nagle's
+        algorithm on, each answer stalls for the client's delayed ACK
+        (~40 ms); with it off, a health check takes about a millisecond."""
+        import http.client
+        import statistics
+
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            latencies = []
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020
+
     def test_health_and_cases(self, server, tmp_path):
         status, _, envelope = request(server, "/v1/health")
         assert status == 200

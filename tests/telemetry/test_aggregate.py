@@ -11,14 +11,7 @@ import pytest
 from repro.core import Simulation, shear_wave
 from repro.parallel import DistributedSimulation, PhaseProfiler
 from repro.parallel.instrumentation import PHASES, PhaseProfile
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    Telemetry,
-    filter_events,
-    format_event,
-    load_run,
-    set_telemetry,
-)
+from repro.telemetry import Telemetry, filter_events, format_event, load_run
 
 SHAPE = (24, 6, 6)
 
@@ -115,33 +108,6 @@ class TestSingleDomainSpans:
             if e.get("name") == "phase.stream"
         ]
         assert steps == [2, 3]
-
-
-class TestKernelAutoEvents:
-    def test_auto_selection_emits_verdict(self):
-        from repro.core.plan import auto_select_kernel
-        from repro.lattice import get_lattice
-
-        recorder = Telemetry.in_memory()
-        set_telemetry(recorder)
-        try:
-            winner = auto_select_kernel(
-                get_lattice("D3Q19"), (8, 8, 4), 0.8, cache=False
-            )
-        finally:
-            set_telemetry(NULL_TELEMETRY)
-        verdicts = [
-            e for e in recorder.events() if e.get("name") == "kernel.auto"
-        ]
-        assert len(verdicts) == 1
-        attrs = verdicts[0]["attrs"]
-        assert attrs["winner"] == winner.name
-        assert attrs["provenance"] == "measured"
-        assert attrs["lattice"] == "D3Q19"
-        assert attrs["shape"] == [8, 8, 4]
-        # measured MFLUP/s per candidate, winner included
-        assert winner.name in attrs["mflups"]
-        assert all(rate > 0 for rate in attrs["mflups"].values())
 
 
 class TestEventFiltering:
