@@ -48,7 +48,7 @@ def _aos_view(f):
 
 
 class TestFoldedWalls:
-    @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
+    @pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
     @pytest.mark.parametrize("layout", ["soa", "aos"])
     def test_folded_table_equals_stream_then_bounce_back(self, lname, layout):
         lat = get_lattice(lname)
@@ -125,7 +125,7 @@ class TestForcedWalledEngine:
         )
         return sim
 
-    @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
+    @pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
     @pytest.mark.parametrize("layout", ["soa", "aos"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_matches_generic_guo_path(self, lname, layout, dtype):

@@ -44,6 +44,11 @@ def _initial_state(lattice, shape, seed=7, dtype=np.float64):
     return np.ascontiguousarray(f, dtype=dtype)
 
 
+def _aos_view(f):
+    """The logical (Q, *shape) view over a cell-major copy of ``f``."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+
+
 class TestGatherTable:
     @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
     def test_matches_roll_streaming(self, lname):
@@ -71,6 +76,19 @@ class TestPlannedEquivalence:
         f = _initial_state(lat, shape)
         ref = NaiveKernel(lat, tau=0.8, order=order).step(f.copy())
         got = kernel_cls(lat, tau=0.8, order=order).step(f.copy())
+        assert np.allclose(got, ref, atol=1e-13)
+
+    @pytest.mark.parametrize("lname,order", LATTICE_ORDERS)
+    def test_aos_planned_matches_naive(self, lname, order):
+        """The cell-major layout of the engine reproduces the same
+        pseudocode on every lattice and order."""
+        lat = get_lattice(lname)
+        shape = (4, 3, 3)
+        f = _initial_state(lat, shape)
+        ref = NaiveKernel(lat, tau=0.8, order=order).step(f.copy())
+        kernel = PlannedKernel(lat, tau=0.8, order=order, layout="aos")
+        got = kernel.step(_aos_view(f))
+        assert np.moveaxis(got, 0, -1).flags.c_contiguous
         assert np.allclose(got, ref, atol=1e-13)
 
     @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
@@ -195,6 +213,16 @@ class TestSelection:
         with pytest.raises(LatticeError, match="unknown kernel"):
             make_kernel("simd", q19, tau=0.8)
 
+    def test_auto_times_nothing_and_caches_nothing(self, q19, tmp_path, monkeypatch):
+        """Resolving 'auto' writes no verdict under the per-host cache
+        root (the perf-model calibration lives there, never a race)."""
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+        make_kernel(AUTO_KERNEL, q19, tau=0.8, shape=(6, 6, 6))
+        sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel=AUTO_KERNEL)
+        sim.initialize(1.0, np.zeros((3, 6, 6, 6)))
+        sim.run(2)
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("spelling", [AUTO_KERNEL, "AUTO"])
     def test_auto_is_the_planned_engine_with_or_without_shape(
         self, q19, spelling
@@ -218,7 +246,7 @@ class TestSimulationPlumbing:
         u = 0.01 * rng.standard_normal((3, *sim.shape))
         sim.initialize(rho, u)
 
-    @pytest.mark.parametrize("kernel", ["roll", "planned"])
+    @pytest.mark.parametrize("kernel", ["roll", "planned", "auto"])
     def test_kernel_matches_default_path(self, kernel):
         shape = (8, 8, 8)
         ref = Simulation("D3Q19", shape, tau=0.8)

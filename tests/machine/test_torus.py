@@ -69,7 +69,10 @@ class TestTopology:
 
 
 class TestNeighbors:
-    @pytest.mark.parametrize("shape", [(4, 4, 8), (2, 3), (1, 3)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 4, 8), (2, 3), (1, 3), (3, 3, 3), (2, 2, 2), (1, 1, 4), (5, 2, 1)],
+    )
     def test_matches_networkx_periodic_grid(self, shape):
         nx = pytest.importorskip("networkx")
         torus = TorusTopology(shape, BLUE_GENE_P)

@@ -110,6 +110,27 @@ class TestSingleDomainSpans:
         assert steps == [2, 3]
 
 
+class TestKernelAutoEvents:
+    def test_auto_emits_what_planned_emits(self):
+        """'auto' is resolved by name, so it leaves no selection trace:
+        a run records the same event names as one spelled 'planned'."""
+        from repro.telemetry import NULL_TELEMETRY, set_telemetry
+
+        names = {}
+        for kernel in ("auto", "planned"):
+            recorder = Telemetry.in_memory()
+            set_telemetry(recorder)
+            try:
+                sim = Simulation("D3Q19", (8, 8, 4), tau=0.8, kernel=kernel)
+                sim.initialize(*shear_wave((8, 8, 4), amplitude=1e-3))
+                sim.run(2)
+            finally:
+                set_telemetry(NULL_TELEMETRY)
+            names[kernel] = sorted(e.get("name", "") for e in recorder.events())
+        assert names["auto"] == names["planned"]
+        assert not any(n.startswith("kernel.auto") for n in names["auto"])
+
+
 class TestEventFiltering:
     def test_filter_and_format(self):
         recorder = Telemetry.in_memory(process="w1")

@@ -65,3 +65,17 @@ def test_every_module_imports_with_declared_dependencies_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.strip()) > 50
+
+
+def test_declared_runtime_dependencies_are_what_the_blocker_allows():
+    """The blocker above allows numpy; the declaration must say the same,
+    so neither can drift without this test noticing."""
+    import re
+    import tomllib
+
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    declared = {
+        re.split(r"[\s<>=!~\[;]", dep, maxsplit=1)[0].lower()
+        for dep in project["project"]["dependencies"]
+    }
+    assert declared == {"numpy"}
