@@ -710,8 +710,9 @@ def resolve_kernel_name(kernel: str) -> str:
     ``"auto"`` (any case) names the planned engine, dense or sparse: it
     is the kernel every measured cell crowns, so nothing is timed.  Every
     other name comes back unchanged.  This is the one place the alias
-    lives; :func:`make_kernel`, the sparse registry and the api layer
-    (which resolves it before a spec is fingerprinted) all call it.
+    lives; :func:`make_kernel`, the sparse registry and
+    :class:`~repro.scenarios.spec.CaseSpec` (which stores the resolved
+    name, so both spellings share a fingerprint) all call it.
     """
     return DEFAULT_KERNEL if str(kernel).lower() == AUTO_KERNEL else kernel
 

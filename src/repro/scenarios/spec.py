@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.boundary import BoundaryCondition
+from ..core.plan import available_kernels, resolve_kernel_name
 from ..core.simulation import Simulation
 from ..errors import ScenarioError
 from ..lattice import VelocitySet, available_lattices
@@ -176,9 +177,10 @@ class CaseSpec:
         its oracles, ``"roll"`` and ``"naive"``; ``None`` = the driver's
         default, the planned engine (or, with a ``collision`` factory,
         the legacy pair).  Mutually exclusive with a ``collision``
-        factory.  ``"auto"`` is not a spec value: the :mod:`repro.api`
-        entry points resolve it to ``"planned"`` before the spec is
-        built, so both spellings share one fingerprint.
+        factory.  ``"auto"`` is accepted and stored as ``"planned"``
+        when the spec is built, so both spellings share one fingerprint
+        whichever entry point (``kernel=``, ``--set``, ``--param``,
+        serve ``overrides``) supplies it.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"``.  Fingerprint-sensitive, like ``kernel``: sweep
@@ -266,6 +268,8 @@ class CaseSpec:
                     f"case {self.name!r}: forcing must be a sequence of "
                     f"floats, got {self.forcing!r}"
                 ) from exc
+        if isinstance(self.kernel, str):
+            object.__setattr__(self, "kernel", resolve_kernel_name(self.kernel))
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "observables", dict(self.observables))
         object.__setattr__(self, "tags", tuple(self.tags))
@@ -303,18 +307,6 @@ class CaseSpec:
             )
         sparse = bool(self.params.get("sparse"))
         if self.kernel is not None:
-            from ..core.plan import AUTO_KERNEL, available_kernels
-
-            if self.kernel == AUTO_KERNEL:
-                # One kernel, one spelling: a spec recording 'auto' would
-                # fingerprint (and cache) apart from the 'planned' it
-                # runs.  The api's kernel= option resolves the alias.
-                raise ScenarioError(
-                    f"case {self.name!r}: kernel 'auto' is an alias, not a "
-                    "spec value; spell it 'planned' (the --kernel option "
-                    "resolves 'auto' to it), or pick one of "
-                    f"{', '.join(available_kernels())}"
-                )
             if sparse:
                 # Sparse cases resolve through make_sparse_kernel, which
                 # accepts short rung names alongside the registry ones.

@@ -85,6 +85,26 @@ class TestNeighbors:
             # self-loop an extent of 1 produces; a torus link never is.
             assert set(ours) == set(graph.neighbors(coord)) - {coord}
 
+    @pytest.mark.parametrize(
+        "shape, coord, expected",
+        [
+            ((2, 3), (0, 0), {(1, 0), (0, 1), (0, 2)}),
+            ((2, 3), (1, 2), {(0, 2), (1, 1), (1, 0)}),
+            ((1, 3), (0, 0), {(0, 1), (0, 2)}),
+            ((1, 3), (0, 1), {(0, 0), (0, 2)}),
+            ((2, 2, 2), (0, 0, 0), {(1, 0, 0), (0, 1, 0), (0, 0, 1)}),
+            ((2, 2, 2), (1, 1, 1), {(0, 1, 1), (1, 0, 1), (1, 1, 0)}),
+            ((5, 2, 1), (0, 0, 0), {(4, 0, 0), (1, 0, 0), (0, 1, 0)}),
+            ((5, 2, 1), (2, 1, 0), {(1, 1, 0), (3, 1, 0), (2, 0, 0)}),
+        ],
+    )
+    def test_edge_shapes_hard_coded(self, shape, coord, expected):
+        """Extents of 2 (one link each way, listed once) and 1 (no
+        link) without networkx, so a clean install checks them too."""
+        ours = TorusTopology(shape, BLUE_GENE_P).neighbors(coord)
+        assert len(ours) == len(set(ours))
+        assert set(ours) == expected
+
     def test_one_dimensional_ring(self):
         torus = TorusTopology((4,), BLUE_GENE_P)
         assert sorted(torus.neighbors((0,))) == [(1,), (3,)]

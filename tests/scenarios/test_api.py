@@ -66,15 +66,29 @@ class TestRunCase:
 
 
 class TestAutoSpelling:
-    """kernel='auto' is resolved to 'planned' before the spec is built:
+    """kernel='auto' is stored as 'planned' when the spec is built:
     same fingerprint, same cache entry, same bytes."""
 
     def test_case_request_records_planned(self):
         auto = api.case_request(CASE, steps=5, overrides=SMALL, kernel="auto")
         planned = api.case_request(CASE, steps=5, overrides=SMALL, kernel="planned")
-        assert auto.overrides["kernel"] == "planned"
         assert auto.spec.kernel == "planned"
         assert auto.fingerprint == planned.fingerprint
+
+    def test_override_spelling_shares_the_fingerprint(self):
+        """The alias holds for every way a kernel reaches the spec, not
+        only the kernel= option: overrides and sweep axes too."""
+        planned = api.case_request(CASE, steps=5, overrides=SMALL, kernel="planned")
+        via_override = api.case_request(
+            CASE, steps=5, overrides={**SMALL, "kernel": "auto"}
+        )
+        assert via_override.spec.kernel == "planned"
+        assert via_override.fingerprint == planned.fingerprint
+        axis = api.sweep_request(CASE, {"kernel": ["auto", "roll"]}, steps=5)
+        assert [spec.kernel for spec in axis.specs] == ["planned", "roll"]
+        assert axis.fingerprints[0] == (
+            api.case_request(CASE, steps=5, kernel="planned").fingerprint
+        )
 
     def test_run_case_payload_and_cache_entry_shared(self, tmp_path):
         auto = api.run_case(

@@ -268,6 +268,21 @@ class TestAutoKernelSpelling:
             tables[kernel] = capsys.readouterr().out
         assert tables["auto"] == tables["planned"]
 
+    def test_set_kernel_auto_byte_identical_to_planned(self, capsys):
+        bodies = {}
+        for kernel in ("auto", "planned"):
+            code = main(["case", "taylor-green", "--steps", "20",
+                         "--set", f"kernel={kernel}", "--json"])
+            assert code == 0
+            bodies[kernel] = capsys.readouterr().out
+        assert bodies["auto"] == bodies["planned"]
+
+    def test_param_kernel_axis_accepts_auto(self, capsys):
+        code = main(["sweep", "taylor-green", "--param", "kernel=auto,roll",
+                     "--steps", "5"])
+        assert code == 0
+        assert "error" not in capsys.readouterr().err
+
 
 class TestTelemetryFlags:
     def test_telemetry_without_cache_dir(self, capsys):

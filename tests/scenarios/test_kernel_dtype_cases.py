@@ -24,12 +24,15 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="unknown kernel"):
             spec.validate()
 
-    def test_auto_kernel_rejected_in_specs(self):
-        """'auto' is an alias the api resolves before building a spec;
-        a spec recording it would fingerprint apart from 'planned'."""
-        spec = get_case("taylor-green").with_overrides(kernel="auto")
-        with pytest.raises(ScenarioError, match="alias"):
-            spec.validate()
+    @pytest.mark.parametrize("spelling", ["auto", "AUTO"])
+    def test_auto_kernel_stored_as_planned(self, spelling):
+        """'auto' is resolved where the spec is built, so a spec never
+        records it and both spellings share one fingerprint."""
+        base = get_case("taylor-green")
+        spec = base.with_overrides(kernel=spelling)
+        spec.validate()
+        assert spec.kernel == "planned"
+        assert spec.fingerprint() == base.with_overrides(kernel="planned").fingerprint()
 
     def test_bad_dtype_rejected(self):
         spec = get_case("taylor-green").with_overrides(dtype="float16")

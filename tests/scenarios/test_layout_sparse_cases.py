@@ -64,7 +64,7 @@ class TestLayoutEquivalence:
         request = api.case_request(
             "taylor-green", kernel="auto", layout="aos"
         )
-        assert request.overrides["kernel"] == "planned"
+        assert request.spec.kernel == "planned"
 
     def test_cli_layout_flag(self, capsys):
         code = main([

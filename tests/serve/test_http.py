@@ -106,6 +106,10 @@ class TestWarmCase:
         assert raw == planned_raw
         jobs = sorted(p.name for p in (tmp_path / "jobs").glob("*.json"))
         assert jobs == [f"{outcome.fingerprint}.json"]
+        overrides = {**BODY["overrides"], "kernel": "auto"}
+        status, raw, _ = request(server, "/v1/case", {**BODY, "overrides": overrides})
+        assert status == 200
+        assert raw == planned_raw
 
 
 class TestColdLifecycle:
