@@ -22,42 +22,46 @@ Subpackages
 ``repro.scenarios``
     Declarative application workloads: case registry, runner with
     checkpoint/restart, parameter sweeps.
+
+Subpackages and the top-level names below load on first access
+(PEP 562), so ``import repro.api`` or ``python -m repro sweep`` pays
+only for the modules it uses.
 """
 
-from . import (
-    analysis,
-    core,
-    errors,
-    experiments,
-    lattice,
-    machine,
-    parallel,
-    perf,
-    scenarios,
-)
-from . import api
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
 from ._version import __version__
-from .core import Simulation
-from .experiments import run_experiment
-from .lattice import get_lattice
-from .parallel import DistributedSimulation
-from .scenarios import run_case
+
+_SUBPACKAGES = frozenset(
+    "analysis api core errors experiments lattice machine parallel perf "
+    "scenarios".split()
+)
+
+#: Top-level convenience names -> the module that defines them.
+_NAMES = {
+    "DistributedSimulation": "parallel",
+    "get_lattice": "lattice",
+    "run_case": "scenarios",
+    "run_experiment": "experiments",
+    "Simulation": "core",
+}
 
 __all__ = [
-    "analysis",
-    "api",
-    "core",
-    "DistributedSimulation",
-    "errors",
-    "experiments",
-    "get_lattice",
-    "lattice",
-    "machine",
-    "parallel",
-    "perf",
-    "run_case",
-    "run_experiment",
-    "scenarios",
-    "Simulation",
-    "__version__",
+    "analysis", "api", "core", "DistributedSimulation", "errors", "experiments",
+    "get_lattice", "lattice", "machine", "parallel", "perf", "run_case",
+    "run_experiment", "scenarios", "Simulation", "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _NAMES:
+        module = importlib.import_module(f".{_NAMES[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

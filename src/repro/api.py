@@ -32,7 +32,6 @@ from .errors import ScenarioError
 from .scenarios.cache import ResultCache
 from .scenarios.executor import (
     NONDETERMINISTIC_METRICS,
-    SweepExecutor,
     SweepPlan,
     case_payload,
     result_from_payload,
@@ -271,31 +270,35 @@ def build_sweep(
 def check_sweep_options(
     *,
     cache_dir: str | Path | None,
-    jobs: int,
-    workers: int | None,
-    publish: bool,
-    resume: bool,
-    adaptive: str | None,
-    telemetry: bool,
-) -> None:
-    """The one place sweep option combinations are validated (error
+    jobs: int | None = None,
+    workers: int | None = None,
+    publish: bool = False,
+    resume: bool = False,
+    adaptive: str | None = None,
+    telemetry: bool = False,
+) -> int:
+    """The one place sweep option combinations are validated; returns
+    the worker count, of which ``jobs`` and ``workers`` are two
+    spellings (both only when they agree; neither means 1).  Error
     wording matches the CLI flags because that is where humans see it;
-    the serve layer never exposes these combinations)."""
-    if (workers is not None or publish) and cache_dir is None:
+    the serve layer never exposes these combinations."""
+    if jobs is not None and workers is not None and jobs != workers:
         raise ScenarioError(
-            "--workers/--publish need --cache-dir: distributed workers "
-            "coordinate through the shared cache directory"
+            f"--jobs {jobs} and --workers {workers} disagree: both name "
+            "the one worker count (give one of them)"
         )
-    if workers is not None and jobs != 1:
+    count = jobs if jobs is not None else workers if workers is not None else 1
+    if count < 1:
+        raise ScenarioError(f"--jobs must be >= 1, got {count}")
+    if publish and cache_dir is None:
         raise ScenarioError(
-            "--workers and --jobs are alternatives: workers are "
-            "independent processes over a shared cache, jobs is one "
-            "process pool (pick one)"
+            "--publish needs --cache-dir: distributed workers coordinate "
+            "through the shared cache directory"
         )
-    if adaptive is not None and (workers is not None or publish or resume):
+    if adaptive is not None and (publish or resume):
         raise ScenarioError(
             "--adaptive picks variants from intermediate results, so it "
-            "cannot be combined with --workers/--publish/--resume"
+            "cannot be combined with --publish/--resume"
         )
     if telemetry and cache_dir is None:
         raise ScenarioError(
@@ -305,8 +308,9 @@ def check_sweep_options(
     if telemetry and adaptive is not None:
         raise ScenarioError(
             "--telemetry is not supported with --adaptive (the sampler "
-            "re-enters the executor per stage; instrument a plain sweep)"
+            "re-enters the engine per stage; instrument a plain sweep)"
         )
+    return count
 
 
 def run_sweep(
@@ -314,7 +318,7 @@ def run_sweep(
     grid: Mapping[str, Sequence[Any]],
     *,
     steps: int | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | Path | None = None,
     resume: bool = False,
     workers: int | None = None,
@@ -330,28 +334,26 @@ def run_sweep(
 ) -> SweepResult:
     """Run a parameter sweep and return its merged result.
 
-    ``jobs`` shards variants across a process pool; ``cache_dir``
-    enables per-variant result caching (warm re-runs execute nothing);
-    ``resume`` continues an interrupted sweep from its manifest;
-    ``workers`` distributes across that many independent worker
-    processes coordinating through the shared ``cache_dir``;
-    ``adaptive`` samples the grid (coarse pass, then refinement where
-    the named observable changes fastest) instead of enumerating it;
-    ``max_attempts`` bounds fleet-wide failures per variant before it
-    is quarantined into an explicit ``FAILED`` row;
-    ``telemetry`` records structured JSONL events under
-    ``<cache-dir>/telemetry``.
+    ``jobs`` (or its spelling ``workers``) is how many local worker
+    processes share the variants; ``cache_dir`` is the directory they
+    coordinate through and that caches every variant (warm re-runs
+    execute nothing; ``None`` uses a temporary one); ``resume``
+    continues an interrupted sweep from its manifest; ``adaptive``
+    samples the grid (coarse pass, then refinement where the named
+    observable changes fastest) instead of enumerating it;
+    ``max_attempts`` bounds failures per variant before it is
+    quarantined into an explicit ``FAILED`` row; ``telemetry`` records
+    structured JSONL events under ``<cache-dir>/telemetry``.
 
-    Always executes through the executor machinery — even plain serial
+    Always executes through the sweep engine — even plain serial
     sweeps — so data columns are deterministic (wall-clock metrics
-    never appear) and byte-identical across ``jobs``/``workers`` and
-    cache states.
+    never appear) and byte-identical across worker counts and cache
+    states, and a raising variant is a ``FAILED`` row on every path.
     """
-    check_sweep_options(
+    count = check_sweep_options(
         cache_dir=cache_dir,
         jobs=jobs,
         workers=workers,
-        publish=False,
         resume=resume,
         adaptive=adaptive,
         telemetry=telemetry,
@@ -359,36 +361,27 @@ def run_sweep(
     sweep = build_sweep(
         name, grid, steps=steps, kernel=kernel, dtype=dtype, layout=layout
     )
-    events_dir = telemetry_dir(cache_dir) if telemetry else None
     if adaptive is not None:
         sampler = AdaptiveSampler(
             sweep,
             observable=adaptive,
             coarse_stride=coarse_stride,
             refine_fraction=refine_fraction,
-            jobs=jobs,
+            jobs=count,
             cache_dir=cache_dir,
-        )
-        return sampler.run()
-    if workers is not None:
-        scheduler = SweepScheduler(
-            sweep,
-            cache_dir,
-            workers=workers,
-            lease_ttl=lease_ttl,
-            resume=resume,
-            telemetry_dir=events_dir,
             max_attempts=max_attempts,
         )
-        return scheduler.run()
-    executor = SweepExecutor(
+        return sampler.run()
+    scheduler = SweepScheduler(
         sweep,
-        jobs=jobs,
-        cache_dir=cache_dir,
+        cache_dir,
+        workers=count,
+        lease_ttl=lease_ttl,
         resume=resume,
-        telemetry_dir=events_dir,
+        telemetry_dir=telemetry_dir(cache_dir) if telemetry else None,
+        max_attempts=max_attempts,
     )
-    return executor.run()
+    return scheduler.run()
 
 
 def publish_sweep(
@@ -410,20 +403,12 @@ def publish_sweep(
     holds a fitted perf-model calibration, items are stamped with
     predicted costs so workers claim longest-first.
     """
-    check_sweep_options(
-        cache_dir=cache_dir,
-        jobs=1,
-        workers=None,
-        publish=True,
-        resume=resume,
-        adaptive=None,
-        telemetry=False,
-    )
+    check_sweep_options(cache_dir=cache_dir, publish=True, resume=resume)
     sweep = build_sweep(
         name, grid, steps=steps, kernel=kernel, dtype=dtype, layout=layout
     )
     scheduler = SweepScheduler(
-        sweep, cache_dir, workers=0, lease_ttl=lease_ttl, resume=resume
+        sweep, cache_dir, lease_ttl=lease_ttl, resume=resume
     )
     return scheduler.publish()
 

@@ -4,14 +4,15 @@ Turn workloads into data: a :class:`CaseSpec` declares lattice, domain,
 geometry, boundary conditions, forcing, stopping criteria and
 observables; :func:`register_case` puts it in the catalog;
 :class:`CaseRunner` executes it with checkpoint/restart; :class:`Sweep`
-expands parameter grids into comparison tables; :class:`SweepExecutor`
-shards the variants across worker processes behind a content-addressed
-:class:`ResultCache`, so interrupted sweeps resume and identical sweeps
-replay for free.  :class:`SweepScheduler` distributes the same variants
-across independent worker processes — on any hosts sharing the cache
-directory — through atomic lease files, and :class:`AdaptiveSampler`
-replaces full Cartesian expansion of large grids with a coarse pass
-plus refinement where a chosen observable changes fastest.
+expands parameter grids into comparison tables; :class:`SweepScheduler`
+is the one sweep execution engine: it serves variants from a
+content-addressed :class:`ResultCache` (so interrupted sweeps resume and
+identical sweeps replay for free) and divides the rest between
+independent worker processes — local ones, or ``sweep-worker``
+processes on any hosts sharing the cache directory — through atomic
+lease files.  :class:`AdaptiveSampler` replaces full Cartesian
+expansion of large grids with a coarse pass plus refinement where a
+chosen observable changes fastest.
 
 >>> from repro.scenarios import run_case
 >>> result = run_case("taylor-green", steps=100)
@@ -23,7 +24,7 @@ CLI: ``python -m repro cases`` / ``case <name>`` / ``sweep <name>`` /
 """
 
 from .cache import CacheDiff, CacheLookup, ResultCache, SweepManifest
-from .executor import SweepExecutor, SweepPlan
+from .executor import SweepPlan
 from .registry import available_cases, catalog_table, get_case, register_case
 from .runner import CaseResult, CaseRunner, run_case
 from .sampling import AdaptiveSampler
@@ -55,7 +56,6 @@ __all__ = [
     "run_worker",
     "steady_state",
     "Sweep",
-    "SweepExecutor",
     "SweepManifest",
     "SweepPlan",
     "SweepResult",

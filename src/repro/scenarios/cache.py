@@ -1,6 +1,6 @@
 """Per-variant result cache and sweep progress manifest.
 
-The sweep executor keys each variant by its spec's content hash
+The sweep engine keys each variant by its spec's content hash
 (:meth:`~repro.scenarios.spec.CaseSpec.fingerprint`) and stores the
 variant's scalar outcomes — metrics, observable series, checks — as a
 checksummed JSON entry.  Entries are content-addressed: a warm cache
@@ -280,10 +280,9 @@ class SweepManifest:
     """Progress record of one sweep over one cache directory.
 
     ``completed`` lists variant fingerprints in completion order; the
-    executor updates it after every variant so a crash loses at most
-    the in-flight runs.  ``workers`` attributes each completion to the
-    worker that ran it (distributed sweeps only; the in-process
-    executor leaves it empty).
+    sweep engine and its workers update it after every variant so a
+    crash loses at most the in-flight runs.  ``workers`` attributes each
+    completion to the worker that ran it (inline runs leave no entry).
     """
 
     path: Path
@@ -306,11 +305,6 @@ class SweepManifest:
     @property
     def complete(self) -> bool:
         return not self.missing()
-
-    def mark_complete(self, fingerprint: str) -> None:
-        if fingerprint not in self.completed:
-            self.completed.append(fingerprint)
-        self.save()
 
     def record_completion(self, fingerprint: str, worker: str | None = None) -> None:
         """Merge-save one completion from a possibly concurrent writer.

@@ -127,10 +127,9 @@ def run_sweep_cli(
     *,
     steps: int | None = None,
     csv: str | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | None = None,
     resume: bool = False,
-    workers: int | None = None,
     publish: bool = False,
     lease_ttl: float = api.DEFAULT_LEASE_TTL,
     adaptive: str | None = None,
@@ -147,15 +146,13 @@ def run_sweep_cli(
 
     Pure dispatch over :func:`repro.api.run_sweep` /
     :func:`repro.api.publish_sweep` — see those for the semantics of
-    ``jobs``/``cache_dir``/``resume``/``workers``/``adaptive``/
-    ``telemetry``.  ``as_json`` prints the canonical sweep envelope
-    (identical bytes to a warm ``POST /v1/sweep`` body) instead of the
-    comparison table.
+    ``jobs``/``cache_dir``/``resume``/``adaptive``/``telemetry``.
+    ``as_json`` prints the canonical sweep envelope (identical bytes to
+    a warm ``POST /v1/sweep`` body) instead of the comparison table.
     """
     api.check_sweep_options(
         cache_dir=cache_dir,
         jobs=jobs,
-        workers=workers,
         publish=publish,
         resume=resume,
         adaptive=adaptive,
@@ -200,7 +197,6 @@ def run_sweep_cli(
         jobs=jobs,
         cache_dir=cache_dir,
         resume=resume,
-        workers=workers,
         lease_ttl=lease_ttl,
         adaptive=adaptive,
         coarse_stride=coarse_stride,
@@ -478,6 +474,19 @@ def run_perf_model_cli(
     return 0
 
 
+class _WorkerCount(argparse.Action):
+    """``--jobs N`` and ``--workers N``: two spellings of one worker
+    count, so giving both with different values is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        previous = getattr(namespace, self.dest)
+        if previous is not None and previous != values:
+            raise argparse.ArgumentError(
+                self, f"conflicts with the worker count {previous} given earlier"
+            )
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -578,9 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        action=_WorkerCount,
+        default=None,
         metavar="N",
-        help="run variants across N worker processes (default: serial)",
+        help="run the variants missing from the cache across N local "
+        "worker processes coordinating through the cache directory "
+        "(default: 1, inline)",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -596,12 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers",
+        dest="jobs",
         type=int,
-        default=None,
+        action=_WorkerCount,
         metavar="N",
-        help="distribute variants across N independent worker processes "
-        "coordinating through --cache-dir lease files (alternative to "
-        "--jobs; the same table, bit for bit)",
+        help="the same option as --jobs N",
     )
     sweep.add_argument(
         "--publish",
@@ -1002,7 +1013,6 @@ def main(argv: Sequence[str]) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            workers=args.workers,
             publish=args.publish,
             lease_ttl=args.lease_ttl,
             adaptive=args.adaptive,

@@ -1,28 +1,17 @@
-"""Parallel sweep execution with per-variant caching and resume.
+"""Per-variant execution pieces shared by every sweep path.
 
-:class:`SweepExecutor` shards the expanded variants of one
-:class:`~repro.scenarios.sweep.Sweep` across a
-:class:`concurrent.futures.ProcessPoolExecutor` (``jobs=1`` keeps the
-serial in-process path, which runs the *same* worker function so the
-two paths are bit-identical), reuses any variant whose content hash
-already has a valid cache entry, and records progress in a
-:class:`~repro.scenarios.cache.SweepManifest` so an interrupted sweep
-resumes with only the missing variants.
+The sweep engine (:class:`~repro.scenarios.scheduler.SweepScheduler`),
+its workers, the adaptive sampler and the case API all build on these:
+:class:`SweepPlan` (the index-aligned expansion of one sweep),
+:func:`_execute_variant` (the one function that runs a variant, inline
+or in a worker), the canonical payload builders, and the cache probe.
 
 Results are reduced to their scalar outcomes (metrics, observable
 series, checks) before crossing process or disk boundaries; wall-clock
 metrics such as ``mflups`` are stripped because they can never be
 deterministic, and everything else round-trips through canonical JSON
-so a sweep run under ``jobs=4`` emits tables byte-identical to
-``jobs=1`` and to a warm-cache replay.
-
-The building blocks live at module level so other drivers can reuse
-them: :class:`SweepPlan` is the index-aligned expansion of one sweep
-(variants, overrides, specs, fingerprints), and
-:func:`execute_pending` runs any subset of its tasks through the same
-pool-or-serial machinery.  The distributed scheduler
-(:mod:`repro.scenarios.scheduler`) and the adaptive sampler
-(:mod:`repro.scenarios.sampling`) are both thin layers over these.
+so a sweep run by N workers emits tables byte-identical to an inline
+run and to a warm-cache replay.
 """
 
 from __future__ import annotations
@@ -30,14 +19,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..core.io import serialize_result_data
 from ..errors import ScenarioError
-from ..resilience import FailureLedger
+from ..resilience import FailureLedger, FailureRecord
 from ..telemetry.recorder import (
     NullTelemetry,
     Telemetry,
@@ -51,12 +38,11 @@ from .spec import CaseSpec
 from .sweep import Sweep, SweepResult
 
 __all__ = [
-    "SweepExecutor",
     "SweepPlan",
     "case_payload",
-    "execute_pending",
     "failed_payload",
     "open_cache",
+    "record_failure",
     "result_from_payload",
     "usable_entry",
     "NONDETERMINISTIC_METRICS",
@@ -71,15 +57,14 @@ NONDETERMINISTIC_METRICS = frozenset({"mflups", "distributed_mflups"})
 
 @dataclasses.dataclass(frozen=True)
 class _VariantTask:
-    """One variant's work order, picklable for pool workers."""
+    """One variant's work order (what a worker rebuilds a variant from)."""
 
     case: CaseSpec | str
     overrides: tuple[tuple[str, Any], ...]
     analyze: bool
     fingerprint: str
     #: Per-run telemetry directory; set, the executing process emits a
-    #: ``variant`` span + counters into its own event file there.  A
-    #: plain string so the task pickles across pool forks unchanged.
+    #: ``variant`` span + counters into its own event file there.
     telemetry_dir: str | None = None
 
 
@@ -87,7 +72,7 @@ def _task_telemetry(task: _VariantTask) -> "Telemetry | NullTelemetry":
     """The recorder ``_execute_variant`` reports through.
 
     Resolved *in the executing process*: with ``task.telemetry_dir``
-    the per-process file recorder (pool children forked from an
+    the per-process file recorder (worker processes forked from an
     instrumented parent get their own file, keyed by pid), else the
     ambient recorder — the no-op default, or whatever the surrounding
     worker installed.
@@ -100,7 +85,7 @@ def _task_telemetry(task: _VariantTask) -> "Telemetry | NullTelemetry":
 def _execute_variant(task: _VariantTask) -> dict[str, Any]:
     """Run one variant and reduce it to a canonical payload.
 
-    Module-level so process pools can pickle it; recomputing the
+    Inline runs and fleet workers both call it; recomputing the
     fingerprint in the worker doubles as a cross-process stability
     check on :meth:`CaseSpec.fingerprint`.  With telemetry enabled the
     run is wrapped in a ``variant`` span (fingerprint, case, steps,
@@ -214,8 +199,42 @@ def failed_payload(case: str, record: Any, *, analyze: bool) -> dict[str, Any]:
     }
 
 
+def record_failure(
+    ledger: FailureLedger,
+    fingerprint: str,
+    exc: BaseException,
+    telemetry: "Telemetry | NullTelemetry",
+    worker: str = "",
+) -> FailureRecord:
+    """Record one failed attempt in the failure ledger (which
+    quarantines at ``max_attempts``) and in telemetry — the one failure
+    path of workers and inline runs alike.  Check ``.quarantined`` on
+    the returned record to learn whether this attempt was the last."""
+    record = ledger.record_failure(fingerprint, exc, worker=worker)
+    if telemetry.enabled:
+        telemetry.count("variant.failed")
+        telemetry.event(
+            "variant.failed",
+            worker=worker,
+            fingerprint=fingerprint,
+            attempt=record.attempt_count,
+            exception=type(exc).__name__,
+            message=str(exc)[:200],
+        )
+        if record.quarantined:
+            telemetry.count("variant.quarantined")
+            telemetry.event(
+                "variant.quarantined",
+                worker=worker,
+                fingerprint=fingerprint,
+                attempts=record.attempt_count,
+                exception=type(exc).__name__,
+            )
+    return record
+
+
 def usable_entry(
-    cache: ResultCache | None,
+    cache: ResultCache,
     fingerprint: str,
     analyze: bool,
     count: bool = True,
@@ -229,8 +248,6 @@ def usable_entry(
     the cache's recorder; ``count=False`` probes silently
     (:meth:`ResultCache.get`) for read-only status checks and
     under-lease re-checks that would otherwise inflate the counters."""
-    if cache is None:
-        return None
     entry = cache.lookup(fingerprint).payload if count else cache.get(fingerprint)
     if entry is not None and entry.get("analyze") == analyze:
         return entry
@@ -309,63 +326,13 @@ class SweepPlan:
         )
 
 
-def _pool_usable(jobs: int, tasks: Mapping[int, _VariantTask]) -> bool:
-    """Pool only when it helps *and* the work orders can cross a
-    process boundary — unregistered specs holding closures (e.g. a
-    ``steady_state`` stop condition) or closure-valued override values
-    silently fall back to the serial path, which produces identical
-    output."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return False
-    try:
-        pickle.dumps(list(tasks.values()))
-    except Exception:
-        return False
-    return True
-
-
-def execute_pending(
-    tasks: Mapping[int, _VariantTask],
-    jobs: int,
-    on_done: Callable[[int, dict[str, Any]], None] | None = None,
-) -> dict[int, dict[str, Any]]:
-    """Run every task, pooled or serial, committing each as it lands.
-
-    ``on_done(index, payload)`` fires immediately after each variant
-    finishes (the cache/manifest commit hook), so a crash mid-batch
-    loses only the in-flight runs.  Both paths run the same
-    :func:`_execute_variant`, so their payloads are bit-identical.
-    """
-    payloads: dict[int, dict[str, Any]] = {}
-    pending = list(tasks)
-    if _pool_usable(jobs, tasks):
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_variant, tasks[i]): i for i in pending
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                payload = future.result()
-                payloads[index] = payload
-                if on_done is not None:
-                    on_done(index, payload)
-    else:
-        for index in pending:
-            payload = _execute_variant(tasks[index])
-            payloads[index] = payload
-            if on_done is not None:
-                on_done(index, payload)
-    return payloads
-
-
 def open_cache(
-    cache_dir: str | Path | None,
+    cache_dir: str | Path,
     case: str,
     parameters: Iterable[str],
     fingerprints: list[str],
     resume: bool = False,
-) -> tuple[ResultCache | None, SweepManifest | None]:
+) -> tuple[ResultCache, SweepManifest]:
     """The (cache, manifest) pair for one sweep over one directory.
 
     ``resume=True`` requires a manifest from an earlier interrupted run
@@ -373,8 +340,6 @@ def open_cache(
     over the same directory is an error, not a silent cache mixup);
     otherwise a fresh manifest is created unless a matching one exists.
     """
-    if cache_dir is None:
-        return None, None
     cache = ResultCache(cache_dir)
     parameters = list(parameters)
     if resume:
@@ -386,133 +351,3 @@ def open_cache(
                 cache.root, case, parameters, fingerprints
             )
     return cache, manifest
-
-
-@dataclasses.dataclass
-class SweepExecutor:
-    """Run a sweep's variants in parallel, through a result cache.
-
-    >>> sweep = Sweep("taylor-green", {"tau": [0.6, 0.8]}, steps=50)
-    >>> result = SweepExecutor(sweep, jobs=4, cache_dir="cache").run()
-    >>> result.runs_executed  # second invocation: 0 (warm cache)
-
-    Parameters
-    ----------
-    sweep:
-        The sweep whose expanded variants to execute.
-    jobs:
-        Process-pool width; ``1`` executes serially in-process.
-    cache_dir:
-        Directory of per-variant entries + the sweep manifest; ``None``
-        disables caching (every variant runs).
-    resume:
-        Require a manifest from an earlier interrupted run of this
-        same sweep (a safety latch: resuming a *different* sweep over
-        the same directory is an error, not a silent cache mixup).
-    telemetry_dir:
-        Directory of append-only JSONL event files; setting it enables
-        structured telemetry for the run — a per-process recorder here,
-        per-variant spans in every pool worker, and cache hit/miss
-        counters.  ``None`` (default) leaves the ambient recorder in
-        charge (usually the no-op).
-    """
-
-    sweep: Sweep
-    jobs: int = 1
-    cache_dir: str | Path | None = None
-    resume: bool = False
-    telemetry_dir: str | Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ScenarioError(f"jobs must be >= 1, got {self.jobs}")
-        if self.resume and self.cache_dir is None:
-            raise ScenarioError("resume requires a cache directory")
-
-    # -- orchestration -----------------------------------------------------
-
-    def run(self, *, analyze: bool = True) -> SweepResult:
-        """Execute missing variants, reuse cached ones, keep grid order."""
-        plan = SweepPlan.of(self.sweep)
-        telemetry_dir = (
-            str(self.telemetry_dir) if self.telemetry_dir is not None else None
-        )
-        recorder = (
-            process_recorder(telemetry_dir) if telemetry_dir else get_telemetry()
-        )
-        cache, manifest = open_cache(
-            self.cache_dir,
-            plan.case,
-            plan.parameters,
-            plan.fingerprints,
-            resume=self.resume,
-        )
-        if cache is not None:
-            cache.telemetry = recorder
-        payloads: list[dict[str, Any] | None] = [None] * len(plan)
-        provenance = ["run"] * len(plan)
-        if cache is not None:
-            for index, fingerprint in enumerate(plan.fingerprints):
-                entry = usable_entry(cache, fingerprint, analyze)
-                if entry is not None:
-                    payloads[index] = entry
-                    provenance[index] = "cached"
-                    # Per-variant outcome (vs the raw storage probes the
-                    # cache itself counts): feeds the fleet hit rate.
-                    if recorder.enabled:
-                        recorder.count("variant.cached")
-            if manifest is not None:
-                for fingerprint, payload in zip(plan.fingerprints, payloads):
-                    if payload is not None and fingerprint not in manifest.completed:
-                        manifest.completed.append(fingerprint)
-                manifest.save()
-            # Variants the fleet quarantined become explicit FAILED rows
-            # instead of being silently re-run here at merge time.
-            quarantined = FailureLedger(cache.root).quarantined()
-            for index, fingerprint in enumerate(plan.fingerprints):
-                if payloads[index] is None and fingerprint in quarantined:
-                    payloads[index] = failed_payload(
-                        plan.case, quarantined[fingerprint], analyze=analyze
-                    )
-                    provenance[index] = "failed"
-
-        pending = [i for i, payload in enumerate(payloads) if payload is None]
-        tasks = {i: plan.task(i, analyze, telemetry_dir) for i in pending}
-
-        def commit(index: int, payload: dict[str, Any]) -> None:
-            self._commit(cache, manifest, plan.fingerprints[index], payload)
-
-        for index, payload in execute_pending(tasks, self.jobs, commit).items():
-            payloads[index] = payload
-
-        results = [
-            result_from_payload(spec, payload)
-            for spec, payload in zip(plan.specs, payloads)
-        ]
-        return SweepResult(
-            case=plan.case,
-            parameters=plan.parameters,
-            variants=plan.variants,
-            results=results,
-            provenance=provenance,
-            fingerprints=plan.fingerprints,
-        )
-
-    # -- helpers -----------------------------------------------------------
-
-    def _use_pool(self, tasks: Mapping[int, _VariantTask]) -> bool:
-        return _pool_usable(self.jobs, tasks)
-
-    @staticmethod
-    def _commit(
-        cache: ResultCache | None,
-        manifest: SweepManifest | None,
-        fingerprint: str,
-        payload: Mapping[str, Any],
-    ) -> None:
-        """Persist one finished variant immediately — a crash after this
-        point costs nothing on resume."""
-        if cache is not None:
-            cache.put(fingerprint, payload)
-        if manifest is not None:
-            manifest.mark_complete(fingerprint)

@@ -9,11 +9,14 @@ grid, measure how fast a chosen observable changes between adjacent
 coarse points, and run a **refinement pass** only over the skipped
 points inside the fastest-changing segments.
 
-Every variant is still addressed by its spec fingerprint and executed
-by the same worker function as an exhaustive sweep, through the same
-cache — so a sampled row is byte-identical to the exhaustive sweep's
-row for that variant, and an adaptive pass over a warm exhaustive
-cache executes nothing.
+Each pass runs through the same sweep engine as an exhaustive sweep
+(:meth:`~repro.scenarios.scheduler.SweepScheduler.execute` over the
+pass's subset of plan indices): every variant is addressed by its spec
+fingerprint, run inline or by ``jobs`` local workers, retried and
+quarantined through the same failure ledger, and cached in the same
+directory — so a sampled row is byte-identical to the exhaustive
+sweep's row for that variant, and an adaptive pass over a warm
+exhaustive cache executes nothing.
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ import dataclasses
 import itertools
 import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..errors import ScenarioError
-from .cache import ResultCache
-# No manifest here (unlike executor.open_cache): adaptive sweeps run a
-# data-dependent subset, so a fixed-fingerprint manifest would lie.
-from .executor import SweepPlan, execute_pending, usable_entry
+from ..resilience import DEFAULT_MAX_ATTEMPTS
+from .scheduler import SweepScheduler
 from .sweep import Sweep, SweepResult
 
 __all__ = ["AdaptiveSampler", "coarse_axis_indices"]
@@ -94,9 +95,13 @@ class AdaptiveSampler:
         refinement pass.  ``1.0`` refines every segment — still fewer
         runs than exhaustive whenever more than one segment exists and
         the grid has interior points on some axis.
-    jobs / cache_dir:
-        Forwarded to the same pool-or-serial execution machinery as
-        :class:`~repro.scenarios.executor.SweepExecutor`.
+    jobs / cache_dir / max_attempts:
+        Forwarded to the sweep engine
+        (:class:`~repro.scenarios.scheduler.SweepScheduler`'s
+        ``workers``, ``cache_dir`` and ``max_attempts``) for each pass.
+        A variant that keeps raising becomes a ``FAILED`` row; its
+        observable counts as NaN, so the segments around it are
+        refined first.
     """
 
     sweep: Sweep
@@ -105,6 +110,7 @@ class AdaptiveSampler:
     refine_fraction: float = 0.5
     jobs: int = 1
     cache_dir: str | Path | None = None
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self) -> None:
         if self.coarse_stride < 2:
@@ -128,18 +134,21 @@ class AdaptiveSampler:
         carries ``grid_total`` (the exhaustive count) plus per-row
         ``stages`` (``"coarse"``/``"refined"``).
         """
-        plan = SweepPlan.of(self.sweep)
+        scheduler = SweepScheduler(
+            self.sweep,
+            self.cache_dir,
+            workers=self.jobs,
+            analyze=analyze,
+            max_attempts=self.max_attempts,
+        )
+        plan = scheduler.plan
         sizes = [len(values) for values in self.sweep.parameters.values()]
         coordinates = list(itertools.product(*(range(n) for n in sizes)))
         flat = {coordinate: i for i, coordinate in enumerate(coordinates)}
 
-        cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
-
         coarse_axes = [coarse_axis_indices(size, self.coarse_stride) for size in sizes]
         coarse = [flat[c] for c in itertools.product(*coarse_axes)]
-        payloads: dict[int, dict[str, Any]] = {}
-        provenance: dict[int, str] = {}
-        self._execute(plan, coarse, cache, analyze, payloads, provenance)
+        payloads, provenance = scheduler.execute(coarse)
 
         values = {index: self._observable_value(payloads[index]) for index in coarse}
         segments = self._segments(coarse_axes)
@@ -152,7 +161,10 @@ class AdaptiveSampler:
                 if index not in seen:
                     seen.add(index)
                     refined.append(index)
-        self._execute(plan, refined, cache, analyze, payloads, provenance)
+        if refined:
+            more, more_provenance = scheduler.execute(refined)
+            payloads.update(more)
+            provenance.update(more_provenance)
 
         stages = {index: "coarse" for index in coarse}
         stages.update({index: "refined" for index in refined})
@@ -168,35 +180,9 @@ class AdaptiveSampler:
 
     # -- helpers -----------------------------------------------------------
 
-    def _execute(
-        self,
-        plan: SweepPlan,
-        indices: Sequence[int],
-        cache: ResultCache | None,
-        analyze: bool,
-        payloads: dict[int, dict[str, Any]],
-        provenance: dict[int, str],
-    ) -> None:
-        """Run one pass's variants through the cache, recording both."""
-        pending = []
-        for index in indices:
-            entry = usable_entry(cache, plan.fingerprints[index], analyze)
-            if entry is not None:
-                payloads[index] = entry
-                provenance[index] = "cached"
-            else:
-                pending.append(index)
-        tasks = {index: plan.task(index, analyze) for index in pending}
-
-        def commit(index: int, payload: dict[str, Any]) -> None:
-            if cache is not None:
-                cache.put(plan.fingerprints[index], payload)
-
-        for index, payload in execute_pending(tasks, self.jobs, commit).items():
-            payloads[index] = payload
-            provenance[index] = "run"
-
     def _observable_value(self, payload: Mapping[str, Any]) -> float:
+        if payload.get("failed"):
+            return math.nan  # quarantined: no outcome to measure
         name = self.observable
         metrics = payload.get("metrics", {})
         series = payload.get("series", {})

@@ -1,13 +1,18 @@
-"""Distributed sweep scheduling over a shared cache directory.
+"""The sweep execution engine and its shared-directory coordination.
 
 The paper's strong-scaling study ran the lattice Boltzmann model across
-hundreds of thousands of ranks; this module gives the sweep engine the
-same shape at the campaign level: N independent worker processes —
-launchable on different hosts — divide one sweep's variants between
-them with nothing but a shared directory for coordination.
+hundreds of thousands of independent ranks; this module gives sweeps
+the same shape at the campaign level.  :class:`SweepScheduler` is the
+one engine every sweep runs through: it probes the result cache once
+per variant, hands the pending variants to N worker processes
+(:mod:`repro.scenarios.workers`) — local ones it launches itself, or
+``repro sweep-worker`` processes on other hosts — and merges the
+results in grid order, running any leftovers inline.  The workers
+divide the variants between them with nothing but a shared directory
+for coordination.
 
-The coordination substrate is the PR 2 cache layout, extended with two
-artifacts:
+The coordination substrate is the result cache layout, extended with
+two artifacts:
 
 ``queue.json``
     The published work order: case name, per-variant overrides and
@@ -23,8 +28,8 @@ artifacts:
 Correctness never depends on the leases: cache commits are
 content-addressed and idempotent (two workers racing on one variant
 write byte-identical entries), so leases are purely a
-don't-duplicate-work optimisation.  That is what makes the scheduler
-deterministic: ``workers=1``, ``workers=N`` and a warm-cache replay all
+don't-duplicate-work optimisation.  That is what makes the engine
+deterministic: an inline run, N workers and a warm-cache replay all
 assemble the same payloads in grid order, so their tables are
 bit-identical.
 """
@@ -32,14 +37,16 @@ bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
 import socket
+import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..core.io import (
     ClaimRecord,
@@ -52,14 +59,27 @@ from ..core.io import (
 from ..errors import ScenarioError
 from ..resilience import DEFAULT_MAX_ATTEMPTS, FailureLedger, FailureRecord
 from ..telemetry.aggregate import FleetRollup
-from ..telemetry.recorder import TELEMETRY_DIRNAME
-from .cache import QUEUE_FILENAME, ResultCache, sweep_key
+from ..telemetry.recorder import (
+    TELEMETRY_DIRNAME,
+    NullTelemetry,
+    Telemetry,
+    get_telemetry,
+    process_recorder,
+)
+from . import executor as _executor
+from .cache import (
+    QUEUE_FILENAME,
+    ResultCache,
+    SweepManifest,
+    _atomic_write,
+    sweep_key,
+)
 from .executor import (
     SweepPlan,
-    _execute_variant,
     _VariantTask,
     failed_payload,
     open_cache,
+    record_failure,
     usable_entry,
 )
 from .sweep import Sweep, SweepResult
@@ -73,7 +93,6 @@ __all__ = [
     "WorkQueue",
     "lease_holder",
     "predict_spec_costs",
-    "predict_variant_costs",
     "sweep_status",
 ]
 
@@ -156,9 +175,12 @@ class WorkQueue:
         plan: SweepPlan,
         analyze: bool,
         costs: "list[float | None] | None" = None,
+        indices: Iterable[int] | None = None,
     ) -> "WorkQueue":
         """Atomically write the work order for ``plan`` under ``root``.
 
+        ``indices`` restricts the order to those plan variants (the
+        engine publishes only what its cache probe found missing);
         ``costs`` (index-aligned with the plan) stamps each item with
         its predicted wall-clock seconds so workers can claim
         longest-first; omitted or ``None`` entries publish uncosted.
@@ -173,15 +195,17 @@ class WorkQueue:
                 f"costs must align with the plan: got {len(costs)} for "
                 f"{len(plan.fingerprints)} variants"
             )
+        chosen = range(len(plan)) if indices is None else sorted(indices)
+        items_json: list[dict[str, Any]] = []
+        for index in chosen:
+            item = {
+                "overrides": plan.overrides[index],
+                "fingerprint": plan.fingerprints[index],
+            }
+            if costs is not None and costs[index] is not None:
+                item["cost"] = float(costs[index])
+            items_json.append(item)
         try:
-            items_json = [
-                {"overrides": overrides, "fingerprint": fingerprint}
-                for overrides, fingerprint in zip(plan.overrides, plan.fingerprints)
-            ]
-            if costs is not None:
-                for item, cost in zip(items_json, costs):
-                    if cost is not None:
-                        item["cost"] = float(cost)
             text = json.dumps(
                 {
                     "version": _QUEUE_VERSION,
@@ -200,10 +224,7 @@ class WorkQueue:
             ) from exc
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
-        path = root / QUEUE_FILENAME
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        _atomic_write(root / QUEUE_FILENAME, text)
         return cls.load(root)
 
     @classmethod
@@ -223,10 +244,12 @@ class WorkQueue:
         request is idempotent.  Creates the queue when none exists.
 
         Read-modify-write: callers must serialise concurrent appends
-        themselves (the serve process does, under one lock); workers
-        only ever read the queue, so appends never race them into
-        corruption — at worst a worker loaded the pre-append snapshot
-        and picks the new items up on its next pass.
+        themselves (the serve process does, under one lock) or an
+        append can drop a concurrent writer's items; the file itself is
+        always replaced whole through a per-writer temp file, so
+        readers never see a torn queue, and workers only ever read it —
+        at worst a worker loaded the pre-append snapshot and picks the
+        new items up on its next pass.
         """
         if analyze not in (True, False):
             raise ScenarioError(f"analyze must be a bool, got {analyze!r}")
@@ -288,10 +311,7 @@ class WorkQueue:
                 f"work queue items need JSON-serialisable overrides: {exc}"
             ) from exc
         root.mkdir(parents=True, exist_ok=True)
-        path = root / QUEUE_FILENAME
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        _atomic_write(root / QUEUE_FILENAME, text)
         return cls.load(root)
 
     @classmethod
@@ -613,8 +633,6 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
     order is published, and each lease's liveness (expired TTL, or a
     same-host owner whose pid is gone, counts as stale).
     """
-    from .cache import SweepManifest
-
     root = Path(cache_dir)
     if not root.is_dir():
         raise ScenarioError(f"no sweep cache directory at {root}")
@@ -701,57 +719,38 @@ def predict_spec_costs(specs) -> "list[float | None] | None":
     return costs
 
 
-def predict_variant_costs(plan: SweepPlan) -> "list[float | None] | None":
-    """:func:`predict_spec_costs` over a sweep plan's variants."""
-    return predict_spec_costs(plan.specs)
-
-
 @dataclasses.dataclass
 class SweepScheduler:
-    """Publish a sweep to a shared cache dir and drive N workers over it.
+    """The one sweep execution engine: probe the cache, run the fleet, merge.
 
     >>> sweep = Sweep("taylor-green", {"tau": [0.6, 0.7, 0.8]}, steps=50)
     >>> result = SweepScheduler(sweep, "shared-cache", workers=4).run()
 
-    ``run()`` publishes the work order, launches ``workers`` local
-    worker processes (the same loop ``repro sweep-worker`` runs on a
-    remote host), waits for them, then merges: every variant's payload
-    is read back from the cache in grid order, and any variant no
-    worker completed — all of them crashed, say — is executed inline,
-    so ``run()`` always returns the full sweep.
+    Every sweep runs through here — ``repro sweep --jobs N`` (``--workers
+    N`` is a spelling of it), :meth:`Sweep.run` and each pass of the
+    adaptive sampler — so retry, quarantine, the failure ledger and
+    telemetry behave the same on all of them.  :meth:`run` probes the
+    cache once per variant, turns variants the ledger quarantined into
+    ``FAILED`` rows, and — given at least two workers, at least two
+    pending variants and a publishable sweep (a registered case with
+    JSON-serialisable overrides) — publishes the pending variants and
+    launches that many local worker processes, the loop ``repro
+    sweep-worker`` runs on any host sharing the directory.  It then
+    merges in grid order, running whatever is still missing inline
+    (:meth:`collect`).  ``workers <= 1`` publishes nothing and starts
+    no process; ``cache_dir=None`` runs through a temporary directory.
 
-    Parameters
-    ----------
-    sweep:
-        The sweep to distribute (its case must be registered).
-    cache_dir:
-        The shared coordination directory (cache + manifest + queue +
-        leases).  Required — a distributed sweep without a shared
-        directory is a contradiction.
-    workers:
-        How many local worker processes ``run()`` launches.  ``0``
-        publishes and merges but launches none (useful when every
-        worker runs on another host).
-    analyze:
-        Run analysis/checks hooks in workers (the payload records the
-        mode; mismatched cache entries are re-run, not served).
-    lease_ttl:
-        Lease lifetime handed to launched workers.
-    resume:
-        Require the manifest of an earlier interrupted run of this
-        same sweep.
-    telemetry_dir:
-        Directory of structured-event JSONL files; set, every launched
-        worker records its spans/counters/heartbeats there (one file
-        per process) and inline merge runs do too.  ``None`` disables
-        fleet telemetry.
-    max_attempts:
-        Fleet-wide failed attempts (shared failure ledger) after which
-        a variant is quarantined and merged as a ``FAILED`` row.
+    ``analyze`` runs the analysis hooks (the payload records the mode,
+    and mismatched cache entries are re-run); ``lease_ttl`` goes to the
+    launched workers; ``resume`` requires the manifest of an earlier
+    run of this same sweep; ``telemetry_dir`` records structured JSONL
+    events there, one file per process; ``max_attempts`` is how many
+    failed attempts the shared ledger allows a variant before it is
+    quarantined.
     """
 
     sweep: Sweep
-    cache_dir: str | Path
+    cache_dir: str | Path | None = None
     workers: int = 1
     analyze: bool = True
     lease_ttl: float = DEFAULT_LEASE_TTL
@@ -762,137 +761,197 @@ class SweepScheduler:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ScenarioError(f"workers must be >= 0, got {self.workers}")
-        if self.cache_dir is None:
-            raise ScenarioError("a distributed sweep requires a cache directory")
+        if self.resume and self.cache_dir is None:
+            raise ScenarioError("resume requires a cache directory")
+        if self.telemetry_dir is not None:
+            self.telemetry_dir = str(self.telemetry_dir)
 
-    # -- lifecycle ---------------------------------------------------------
+    @functools.cached_property
+    def plan(self) -> SweepPlan:
+        """The sweep's expansion, computed once per scheduler."""
+        return SweepPlan.of(self.sweep)
 
     def publish(self) -> tuple[SweepPlan, WorkQueue]:
-        """Expand the sweep and write queue + manifest under the cache dir.
+        """Write the whole sweep's work order (queue + manifest) under
+        the cache dir and run nothing — ``repro sweep --publish``.
 
-        When this host holds a fitted perf-model calibration, every
+        With a fitted perf-model calibration on this host, every
         variant the model covers is stamped with its predicted cost so
-        workers pack longest-first (:meth:`WorkQueue.claim_order`)
-        instead of walking the grid naively.
+        workers pack longest-first (:meth:`WorkQueue.claim_order`).
         """
-        plan = SweepPlan.of(self.sweep)
-        cache, manifest = open_cache(
-            self.cache_dir,
-            plan.case,
-            plan.parameters,
-            plan.fingerprints,
-            resume=self.resume,
-        )
-        assert cache is not None and manifest is not None
-        queue = WorkQueue.publish(
-            cache.root, plan, self.analyze, costs=predict_variant_costs(plan)
-        )
-        return plan, queue
+        plan = self.plan
+        cache, _ = self._open(self.cache_dir)
+        costs = predict_spec_costs(plan.specs)
+        return plan, WorkQueue.publish(cache.root, plan, self.analyze, costs=costs)
 
     def run(self) -> SweepResult:
-        """Publish, drive the worker fleet, and merge the full sweep."""
-        from .workers import worker_entry  # cycle: workers run queue items
+        """Execute the sweep and return it in grid order."""
+        payloads, provenance = self.execute()
+        return self.plan.result(list(payloads), payloads, provenance)
 
-        plan, _queue = self.publish()
-        cache = ResultCache(self.cache_dir)
-        # Silent probes (count=False): this pre-scan classifies
-        # provenance, it is not a fleet cache outcome — the workers
-        # count their own hits.
-        cached_before = {
-            fingerprint
-            for fingerprint in plan.fingerprints
-            if usable_entry(cache, fingerprint, self.analyze, count=False) is not None
-        }
-        telemetry_dir = (
-            str(self.telemetry_dir) if self.telemetry_dir is not None else None
-        )
-        if self.workers and len(cached_before) < len(plan):
-            processes = [
-                multiprocessing.Process(
-                    target=worker_entry,
-                    args=(str(cache.root),),
-                    kwargs={
-                        "worker_id": f"w{rank + 1}",
-                        "lease_ttl": self.lease_ttl,
-                        "telemetry_dir": telemetry_dir,
-                        "max_attempts": self.max_attempts,
-                    },
-                    daemon=False,
-                )
-                for rank in range(self.workers)
-            ]
-            for process in processes:
-                process.start()
-            for process in processes:
-                process.join()
-        return self.collect(plan, cached_before=cached_before)
+    def execute(
+        self, indices: Iterable[int] | None = None
+    ) -> tuple[dict[int, Mapping[str, Any]], dict[int, str]]:
+        """The engine behind :meth:`run`: payload and provenance
+        (``cached``, ``worker:<id>``, ``run`` or ``failed``) per plan
+        index, for ``indices`` (default: every variant)."""
+        if self.cache_dir is not None:
+            return self._execute(Path(self.cache_dir), indices)
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+            return self._execute(Path(scratch), indices)
 
-    def collect(
-        self,
-        plan: SweepPlan | None = None,
-        cached_before: set[str] = frozenset(),
-    ) -> SweepResult:
-        """Merge the sweep from the shared cache, in grid order.
+    def collect(self) -> SweepResult:
+        """Merge the sweep from the cache dir in grid order, after
+        external ``sweep-worker`` processes drained a published sweep.
 
-        Variants the workers completed are attributed to them in the
-        provenance column (``worker:<id>``); variants nobody completed
-        are executed inline (``run``) — leases are ignored at this
-        point because merging happens after the launched fleet exited,
-        and an inline duplicate of some foreign straggler's variant is
-        idempotent anyway.  Variants the fleet quarantined — or that
-        keep raising inline until they hit ``max_attempts`` — merge as
-        explicit ``FAILED`` placeholder rows (``"failed"`` provenance)
-        so the sweep always terminates.
+        Variants the workers completed read ``worker:<id>``; variants
+        nobody completed run inline (``run``), ignoring leases since the
+        fleet has exited (a duplicate of a straggler's run is
+        idempotent).  Quarantined variants, and variants that keep
+        raising inline until ``max_attempts``, merge as ``FAILED`` rows.
         """
-        from .cache import SweepManifest
-
-        if plan is None:
-            plan = SweepPlan.of(self.sweep)
         cache = ResultCache(self.cache_dir)
-        manifest = SweepManifest.load(cache.root)
-        ledger = FailureLedger(cache.root, max_attempts=self.max_attempts)
-        quarantined = ledger.quarantined()
-        telemetry_dir = (
-            str(self.telemetry_dir) if self.telemetry_dir is not None else None
-        )
+        cache.telemetry = self._recorder()
         payloads: dict[int, Mapping[str, Any]] = {}
         provenance: dict[int, str] = {}
-        for index, fingerprint in enumerate(plan.fingerprints):
-            # Merge reads are silent probes too (count=False).
+        self._merge(cache, range(len(self.plan)), payloads, provenance)
+        return self.plan.result(list(payloads), payloads, provenance)
+
+    # -- engine steps ------------------------------------------------------
+
+    def _open(self, root: str | Path) -> tuple[ResultCache, SweepManifest]:
+        plan = self.plan
+        return open_cache(
+            root, plan.case, plan.parameters, plan.fingerprints, resume=self.resume
+        )
+
+    def _recorder(self) -> "Telemetry | NullTelemetry":
+        if self.telemetry_dir is None:
+            return get_telemetry()
+        return process_recorder(self.telemetry_dir)
+
+    def _execute(
+        self, root: Path, indices: Iterable[int] | None
+    ) -> tuple[dict[int, Mapping[str, Any]], dict[int, str]]:
+        plan = self.plan
+        order = range(len(plan)) if indices is None else sorted(set(indices))
+        cache, manifest = self._open(root)
+        cache.telemetry = recorder = self._recorder()
+        payloads: dict[int, Mapping[str, Any]] = {}
+        provenance: dict[int, str] = {}
+        for index in order:  # the one counted probe per variant
+            entry = usable_entry(cache, plan.fingerprints[index], self.analyze)
+            if entry is not None:
+                payloads[index] = entry
+                provenance[index] = "cached"
+                if recorder.enabled:
+                    recorder.count("variant.cached")
+        completed = set(manifest.completed)
+        found = [plan.fingerprints[i] for i in payloads]
+        if not completed.issuperset(found):
+            manifest.completed.extend(f for f in found if f not in completed)
+            manifest.save()
+        # Quarantined variants are never published; the merge below
+        # turns them into FAILED rows.
+        quarantined = FailureLedger(root).quarantined()
+        pending = [
+            index
+            for index in order
+            if index not in payloads and plan.fingerprints[index] not in quarantined
+        ]
+        if self.workers >= 2 and len(pending) >= 2:
+            try:
+                costs = predict_spec_costs(plan.specs)
+                WorkQueue.publish(root, plan, self.analyze, costs, indices=pending)
+            except ScenarioError:
+                pass  # unregistered case or non-JSON overrides: run inline
+            else:
+                recorder.flush()  # forked workers must not inherit buffered events
+                self._launch(root, min(self.workers, len(pending)))
+        self._merge(cache, order, payloads, provenance)
+        return payloads, provenance
+
+    def _launch(self, root: Path, count: int) -> None:
+        """Start ``count`` local workers over ``root`` and wait for them."""
+        from .workers import worker_entry  # cycle: workers run queue items
+
+        processes = [
+            multiprocessing.Process(
+                target=worker_entry,
+                args=(str(root),),
+                kwargs={
+                    "worker_id": f"w{rank + 1}",
+                    "lease_ttl": self.lease_ttl,
+                    "telemetry_dir": self.telemetry_dir,
+                    "max_attempts": self.max_attempts,
+                },
+            )
+            for rank in range(count)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join()
+
+    def _merge(
+        self,
+        cache: ResultCache,
+        order: Iterable[int],
+        payloads: dict[int, Mapping[str, Any]],
+        provenance: dict[int, str],
+    ) -> None:
+        """Fill every index of ``order`` missing from ``payloads``: read
+        what the fleet committed (silently: merge reads are not cache
+        outcomes), else run the variant inline."""
+        plan = self.plan
+        manifest = SweepManifest.load(cache.root)
+        tracked = manifest is not None and manifest.fingerprints == plan.fingerprints
+        ledger = FailureLedger(cache.root, max_attempts=self.max_attempts)
+        quarantined = ledger.quarantined()
+        for index in order:
+            if index in payloads:
+                continue
+            fingerprint = plan.fingerprints[index]
             entry = usable_entry(cache, fingerprint, self.analyze, count=False)
-            if entry is None and fingerprint in quarantined:
+            if entry is not None:
+                worker = manifest.workers.get(fingerprint) if manifest else None
+                payloads[index] = entry
+                provenance[index] = f"worker:{worker}" if worker else "run"
+                continue
+            record = quarantined.get(fingerprint)
+            if record is None:
+                entry, record = self._run_inline(index, ledger, cache.telemetry)
+            if entry is None:
                 payloads[index] = failed_payload(
-                    plan.case, quarantined[fingerprint], analyze=self.analyze
+                    plan.case, record, analyze=self.analyze
                 )
                 provenance[index] = "failed"
                 continue
-            if entry is None:
-                task = plan.task(index, self.analyze, telemetry_dir)
-                record = None
-                while entry is None:
-                    try:
-                        entry = _execute_variant(task)
-                    except Exception as exc:
-                        record = ledger.record_failure(fingerprint, exc)
-                        if record.quarantined:
-                            break
-                if entry is None:
-                    assert record is not None
-                    payloads[index] = failed_payload(
-                        plan.case, record, analyze=self.analyze
-                    )
-                    provenance[index] = "failed"
-                    continue
-                if record is not None:
-                    ledger.clear(fingerprint)
-                cache.put(fingerprint, entry)
-                if manifest is not None and manifest.fingerprints == plan.fingerprints:
-                    manifest.record_completion(fingerprint)
-                provenance[index] = "run"
-            elif fingerprint in cached_before:
-                provenance[index] = "cached"
-            else:
-                worker = (manifest.workers if manifest else {}).get(fingerprint)
-                provenance[index] = f"worker:{worker}" if worker else "run"
+            cache.put(fingerprint, entry)
+            if tracked:
+                manifest.record_completion(fingerprint)
             payloads[index] = entry
-        return plan.result(range(len(plan)), payloads, provenance)
+            provenance[index] = "run"
+        cache.telemetry.flush()
+
+    def _run_inline(
+        self,
+        index: int,
+        ledger: FailureLedger,
+        recorder: "Telemetry | NullTelemetry",
+    ) -> tuple[dict[str, Any] | None, FailureRecord | None]:
+        """Run one variant here, retrying until it succeeds or the
+        ledger quarantines it: ``(payload, None)`` or ``(None, record)``."""
+        task = self.plan.task(index, self.analyze, self.telemetry_dir)
+        record = None
+        while True:
+            try:
+                payload = _executor._execute_variant(task)
+            except Exception as exc:
+                record = record_failure(ledger, task.fingerprint, exc, recorder)
+                if record.quarantined:
+                    return None, record
+                continue
+            if record is not None:
+                ledger.clear(task.fingerprint)
+            return payload, None

@@ -30,9 +30,10 @@ _LEADING_METRICS = ("steps_run", "mflups")
 class SweepResult:
     """Outcome of one sweep: variant overrides paired with run results.
 
-    ``provenance`` (when the sweep ran through an executor) records per
-    variant whether it was freshly ``"run"``, served ``"cached"``, or
-    completed by a distributed worker (``"worker:<id>"``);
+    ``provenance`` (when the sweep ran through the sweep engine) records
+    per variant whether it was freshly ``"run"`` inline, served
+    ``"cached"``, completed by a worker (``"worker:<id>"``) or
+    quarantined (``"failed"``);
     ``fingerprints`` carries the matching cache keys.  Adaptively
     sampled sweeps additionally record the full grid size in
     ``grid_total`` (the rows cover only the sampled subset) and each
@@ -224,23 +225,23 @@ class Sweep:
     ) -> SweepResult:
         """Run every variant and collect the comparison.
 
-        With ``jobs > 1``, a ``cache_dir`` or ``resume``, delegates to
-        :class:`~repro.scenarios.executor.SweepExecutor`: variants are
-        sharded across a process pool, per-variant results are cached
-        by spec fingerprint, and results come back *lean* (scalar
+        With ``jobs > 1``, a ``cache_dir`` or ``resume``, runs through
+        the sweep engine (:class:`~repro.scenarios.scheduler.SweepScheduler`):
+        ``jobs`` local workers share the variants, per-variant results
+        are cached by spec fingerprint, a variant that keeps raising
+        becomes a ``FAILED`` row, and results come back *lean* (scalar
         outcomes only, no simulation attached, timing metrics
         stripped).  The default in-process path keeps the full
         simulations and timing metrics on each :class:`CaseResult`
         (so its tables include the nondeterministic ``mflups`` column;
-        the CLI always goes through the executor instead).
+        the CLI always goes through the engine instead).
         """
         if jobs != 1 or cache_dir is not None or resume:
-            from .executor import SweepExecutor
+            from .scheduler import SweepScheduler
 
-            executor = SweepExecutor(
-                self, jobs=jobs, cache_dir=cache_dir, resume=resume
-            )
-            return executor.run(analyze=analyze)
+            return SweepScheduler(
+                self, cache_dir, workers=jobs, analyze=analyze, resume=resume
+            ).run()
         base = self.spec
         variants = self.expand()
         results = [

@@ -1,12 +1,14 @@
 """Sweep worker processes: claim variants, run them, commit results.
 
-A worker is the unit of distribution: point any number of them — on
-any hosts sharing the cache directory — at a published sweep
-(:class:`~repro.scenarios.scheduler.WorkQueue`) and they divide the
-variants between themselves through atomic lease files, with no
+A worker is the unit of distribution of the one sweep engine
+(:class:`~repro.scenarios.scheduler.SweepScheduler`): point any number
+of them — on any hosts sharing the cache directory — at a published
+sweep (:class:`~repro.scenarios.scheduler.WorkQueue`) and they divide
+the variants between themselves through atomic lease files, with no
 coordinator in the loop.  ``python -m repro sweep-worker --cache-dir
-DIR`` runs exactly this; ``repro sweep --workers N`` launches N of
-them locally.
+DIR`` runs exactly this; ``repro sweep --jobs N`` (``--workers N`` is
+the same option) launches N of them locally for the variants its
+cache probe found missing.
 
 The loop per pass, in the queue's claim order — grid order, unless the
 publisher stamped every variant with a predicted cost from its fitted
@@ -28,7 +30,8 @@ lease is released, so a worker that dies mid-variant leaves a lease
 that goes stale and a variant that simply re-runs elsewhere.
 
 A variant that *raises* is never fatal to the worker: the exception is
-recorded in the shared failure ledger
+recorded (:func:`~repro.scenarios.executor.record_failure`, the same
+path the engine's inline runs take) in the shared failure ledger
 (:class:`~repro.resilience.FailureLedger`, ``failures.json`` beside
 ``queue.json``), the lease is released, and the variant is retried
 with exponential backoff until ``max_attempts``, after which it is
@@ -250,7 +253,6 @@ def run_worker(
     root = Path(cache_dir)
     queue = WorkQueue.load(root)
     cache = ResultCache(root)
-    manifest = SweepManifest.load(root)
     board = LeaseBoard(root, owner=worker_id, ttl=lease_ttl)
     ledger = FailureLedger(root, max_attempts=max_attempts)
     plan = FaultPlan.from_env()
@@ -289,13 +291,14 @@ def run_worker(
         return cached - len(report.completed)
 
     claim_order = queue.claim_order()
+    manifest = SweepManifest.load(root)
 
     def refresh() -> bool:
         """Re-read a changed queue (serve appends items mid-flight).
 
         ``True`` iff the item list changed; reloads the manifest too so
-        the ``manifest.key == queue.key`` completion guard tracks the
-        appended queue instead of silently dropping attribution.
+        completions of appended items are recorded in the manifest that
+        tracks them instead of silently dropping attribution.
         """
         nonlocal queue, manifest, claim_order
         try:
@@ -322,12 +325,14 @@ def run_worker(
         either way.
         """
         nonlocal manifest
-        if manifest is None or manifest.key != queue.key:
+        # Membership, not sweep equality: the engine publishes only the
+        # variants its probe found missing; serve mixes cases on one queue.
+        if manifest is None or fingerprint not in manifest.fingerprints:
             return False
         if fingerprint in manifest.completed:
             return False
         latest = SweepManifest.load(root)
-        if latest is not None and latest.key == queue.key:
+        if latest is not None and latest.key == manifest.key:
             manifest = latest
             if fingerprint in manifest.completed:
                 return False
@@ -421,37 +426,21 @@ def run_worker(
                         # A variant exception is never fatal to the
                         # worker: record the attempt, release the lease
                         # (finally below) and move on to other items.
-                        record = ledger.record_failure(
-                            item.fingerprint, exc, worker=board.owner
+                        record = _executor.record_failure(
+                            ledger, item.fingerprint, exc, recorder, worker=board.owner
                         )
                         failures[item.fingerprint] = record
                         report.failed.append(item.fingerprint)
                         failed_this_pass += 1
-                        if recorder.enabled:
-                            recorder.count("variant.failed")
-                            recorder.event(
-                                "variant.failed",
-                                worker=board.owner,
-                                fingerprint=item.fingerprint,
-                                attempt=record.attempt_count,
-                                exception=type(exc).__name__,
-                                message=str(exc)[:200],
-                            )
                         if record.quarantined:
                             report.quarantined.append(item.fingerprint)
-                            if recorder.enabled:
-                                recorder.count("variant.quarantined")
-                                recorder.event(
-                                    "variant.quarantined",
-                                    worker=board.owner,
-                                    fingerprint=item.fingerprint,
-                                    attempts=record.attempt_count,
-                                    exception=type(exc).__name__,
-                                )
                         continue
                     if record is not None:
                         ledger.clear(item.fingerprint)
-                    if manifest is not None and manifest.key == queue.key:
+                    if (
+                        manifest is not None
+                        and item.fingerprint in manifest.fingerprints
+                    ):
                         manifest.record_completion(item.fingerprint, worker=board.owner)
                     if item.fingerprint not in report.completed:
                         # a torn commit re-run completes the same variant twice

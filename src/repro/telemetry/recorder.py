@@ -399,7 +399,7 @@ class Telemetry:
 # Sweep machinery shares one recorder (one event file) per process per
 # telemetry directory: the worker loop, its cache probes, and
 # _execute_variant all resolve the same instance through this registry.
-# Keyed by pid as well, so pool children forked from an instrumented
+# Keyed by pid as well, so worker processes forked from an instrumented
 # parent open their *own* file instead of inheriting the parent's file
 # handle (two processes appending through one fd would interleave).
 

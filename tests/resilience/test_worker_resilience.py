@@ -15,7 +15,6 @@ from repro.resilience import FAULT_PLAN_ENV, FailureLedger
 from repro.scenarios import (
     ResultCache,
     Sweep,
-    SweepExecutor,
     SweepManifest,
     SweepScheduler,
     run_worker,
@@ -39,7 +38,7 @@ def publish(root, sweep=None, **kw):
 
 def clean_reference(root):
     """A fault-free run of the same sweep into its own cache dir."""
-    return SweepExecutor(make_sweep(), jobs=1, cache_dir=root).run()
+    return SweepScheduler(make_sweep(), root).run()
 
 
 def write_plan(path, *faults):
@@ -125,7 +124,7 @@ class TestPoisonQuarantine:
             retry_backoff=0.0,
         )
         monkeypatch.delenv(FAULT_PLAN_ENV)
-        merged = scheduler.collect(plan)
+        merged = scheduler.collect()
         assert merged.failed_count == 1
         assert merged.provenance[0] == "failed"
         assert not merged.results[0].passed
@@ -188,7 +187,7 @@ class TestTransientRetry:
         assert FailureLedger(tmp_path / "chaos").load() == {}
 
         monkeypatch.delenv(FAULT_PLAN_ENV)
-        merged = scheduler.collect(plan)
+        merged = scheduler.collect()
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
@@ -214,7 +213,7 @@ class TestCrashRecovery:
         assert victim in rescuer.reclaimed
         assert sorted(rescuer.completed) == sorted(plan.fingerprints)
 
-        merged = scheduler.collect(plan)
+        merged = scheduler.collect()
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
@@ -246,7 +245,7 @@ class TestCrashRecovery:
         assert manifest.completed.count(victim) == 1
         assert manifest.workers[victim] == "rescuer"
 
-        merged = scheduler.collect(plan)
+        merged = scheduler.collect()
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         entry = ResultCache(tmp_path / "clean").entry_path(victim)
@@ -275,7 +274,7 @@ class TestCorruptWriteRecovery:
         assert len(sidecar) == 1  # the torn bytes were preserved, not lost
         assert sidecar[0].name == cache.entry_path(victim).name
 
-        merged = scheduler.collect(plan)
+        merged = scheduler.collect()
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()

@@ -150,15 +150,28 @@ class TestSweepRequest:
 
 
 class TestSweepOptionValidation:
-    def test_workers_need_cache_dir(self):
-        with pytest.raises(ScenarioError, match="--cache-dir"):
-            api.run_sweep(CASE, {"tau": [0.7]}, workers=2)
+    def test_workers_without_cache_dir_use_a_temporary_one(self):
+        result = api.run_sweep(CASE, {"tau": [0.7, 0.8]}, steps=5, workers=2)
+        assert result.passed
+        assert all(p.startswith("worker:w") for p in result.provenance)
 
-    def test_workers_and_jobs_exclusive(self, tmp_path):
-        with pytest.raises(ScenarioError, match="alternatives"):
-            api.run_sweep(
-                CASE, {"tau": [0.7]}, workers=2, jobs=2, cache_dir=tmp_path
-            )
+    def test_workers_and_jobs_are_one_count(self, tmp_path):
+        grid = {"tau": [0.7, 0.8]}
+        by_workers = api.run_sweep(
+            CASE, grid, steps=5, workers=2, cache_dir=tmp_path / "w"
+        )
+        by_jobs = api.run_sweep(
+            CASE, grid, steps=5, jobs=2, cache_dir=tmp_path / "j"
+        )
+        both = api.run_sweep(
+            CASE, grid, steps=5, jobs=2, workers=2, cache_dir=tmp_path / "b"
+        )
+        assert api.sweep_payload(by_workers) == api.sweep_payload(by_jobs)
+        assert by_workers.to_csv() == by_jobs.to_csv() == both.to_csv()
+        assert api.check_sweep_options(cache_dir=None, workers=3) == 3
+        assert api.check_sweep_options(cache_dir=None) == 1
+        with pytest.raises(ScenarioError, match="disagree"):
+            api.run_sweep(CASE, grid, workers=2, jobs=3)
 
     def test_telemetry_needs_cache_dir(self):
         with pytest.raises(ScenarioError, match="--telemetry"):

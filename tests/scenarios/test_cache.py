@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import ResultCache, Sweep, SweepExecutor, SweepManifest
+from repro.scenarios import ResultCache, Sweep, SweepManifest, SweepScheduler
 from repro.scenarios import executor as executor_module
 from repro.scenarios.cache import sweep_key
 
@@ -81,7 +81,7 @@ class TestResultCache:
 class TestSweepManifest:
     def test_create_load_round_trip(self, tmp_path):
         created = SweepManifest.create(tmp_path, "x", ["tau"], ["f1", "f2"])
-        created.mark_complete("f1")
+        created.record_completion("f1")
         loaded = SweepManifest.load(tmp_path)
         assert loaded.case == "x"
         assert loaded.completed == ["f1"]
@@ -104,33 +104,33 @@ class TestWarmCacheSweeps:
     def test_warm_cache_executes_zero_runs_same_table(
         self, tmp_path, monkeypatch
     ):
-        cold = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        cold = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         assert cold.runs_executed == 2
 
         def forbidden(task):  # any execution attempt is a failure
             raise AssertionError("warm cache must not run variants")
 
         monkeypatch.setattr(executor_module, "_execute_variant", forbidden)
-        warm = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        warm = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         assert warm.runs_executed == 0
         assert warm.provenance == ["cached", "cached"]
         assert warm.to_table() == cold.to_table()
         assert warm.to_csv() == cold.to_csv()
 
     def test_corrupted_entry_is_rerun(self, tmp_path):
-        cold = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        cold = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         cache = ResultCache(tmp_path)
         victim = cache.keys()[0]
         cache.entry_path(victim).write_text("garbage{{{")
-        repaired = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        repaired = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         assert repaired.runs_executed == 1
         assert sorted(repaired.provenance) == ["cached", "run"]
         assert repaired.to_table() == cold.to_table()
@@ -138,26 +138,26 @@ class TestWarmCacheSweeps:
         assert cache.get(victim) is not None
 
     def test_partial_entry_is_rerun(self, tmp_path):
-        cold = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        cold = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         cache = ResultCache(tmp_path)
         victim = cache.keys()[1]
         path = cache.entry_path(victim)
         path.write_text(path.read_text()[:40])  # simulated torn write
-        repaired = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        repaired = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         assert repaired.runs_executed == 1
         assert repaired.to_table() == cold.to_table()
 
     def test_cache_shared_across_jobs_settings(self, tmp_path):
-        SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path).run(
-            analyze=False
-        )
-        warm = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        SweepScheduler(
+            make_sweep(), tmp_path, workers=2, analyze=False
+        ).run()
+        warm = SweepScheduler(
+            make_sweep(), tmp_path, workers=1, analyze=False
+        ).run()
         assert warm.runs_executed == 0
 
 

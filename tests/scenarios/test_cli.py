@@ -52,7 +52,7 @@ class TestSweepCommand:
         assert csv.read_text().startswith("tau,lattice")
 
 
-class TestSweepExecutorFlags:
+class TestSweepEngineFlags:
     def test_jobs_and_cache_dir_then_warm_resume(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         argv = [
@@ -71,18 +71,26 @@ class TestSweepExecutorFlags:
         out = capsys.readouterr().out
         assert "2 variants: 0 run, 2 cached" in out
 
-    def test_plain_sweep_is_deterministic_no_timing_column(self, capsys):
-        """The CLI always executes through SweepExecutor, so wall-clock
-        metrics never appear and --jobs N output is byte-identical."""
+    def test_plain_sweep_is_deterministic_no_timing_column(
+        self, capsys, tmp_path
+    ):
+        """The CLI always executes through the sweep engine, so
+        wall-clock metrics never appear and --jobs N data is
+        byte-identical; only the source column says who ran a row."""
         argv = ["sweep", "taylor-green", "--param", "tau=0.6,0.8",
                 "--steps", "10"]
-        assert main(argv) == 0
+        assert main(argv + ["--csv", str(tmp_path / "serial.csv")]) == 0
         serial = capsys.readouterr().out
         assert "mflups" not in serial
         assert "2 variants: 2 run, 0 cached" in serial
-        assert main(argv + ["--jobs", "2"]) == 0
+        assert main(argv + ["--jobs", "2",
+                            "--csv", str(tmp_path / "parallel.csv")]) == 0
         parallel = capsys.readouterr().out
-        assert parallel == serial
+        assert "2 variants: 2 run, 0 cached" in parallel
+        assert "worker:w" in parallel
+        assert (tmp_path / "parallel.csv").read_bytes() == (
+            tmp_path / "serial.csv"
+        ).read_bytes()
 
     def test_resume_without_cache_dir_is_an_error(self, capsys):
         code = main([
@@ -125,11 +133,11 @@ class TestErrorPaths:
         assert code == 2
         assert "expected key=value" in capsys.readouterr().err
 
-    def test_workers_without_cache_dir(self, capsys):
-        code = main(["sweep", "taylor-green", "--param", "tau=0.6",
+    def test_workers_without_cache_dir_runs(self, capsys):
+        code = main(["sweep", "taylor-green", "--param", "tau=0.6,0.8",
                      "--steps", "10", "--workers", "2"])
-        assert code == 2
-        assert "--cache-dir" in capsys.readouterr().err
+        assert code == 0
+        assert "2 variants: 2 run, 0 cached" in capsys.readouterr().out
 
     def test_publish_without_cache_dir(self, capsys):
         code = main(["sweep", "taylor-green", "--param", "tau=0.6",
@@ -138,16 +146,29 @@ class TestErrorPaths:
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_workers_and_jobs_conflict(self, tmp_path, capsys):
-        code = main(["sweep", "taylor-green", "--param", "tau=0.6",
-                     "--steps", "10", "--workers", "2", "--jobs", "2",
-                     "--cache-dir", str(tmp_path)])
-        assert code == 2
-        assert "alternatives" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "taylor-green", "--param", "tau=0.6",
+                  "--steps", "10", "--workers", "2", "--jobs", "3",
+                  "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "conflicts with the worker count 2" in capsys.readouterr().err
 
-    def test_adaptive_conflicts_with_workers(self, tmp_path, capsys):
+    def test_workers_and_jobs_are_one_option(self, tmp_path, capsys):
+        """--workers N is a spelling of --jobs N: the same bytes."""
+        argv = ["sweep", "taylor-green", "--param", "tau=0.6,0.8",
+                "--steps", "10", "--json"]
+        outputs = []
+        for name, flags in (("jobs", ["--jobs", "2"]),
+                            ("workers", ["--workers", "2"]),
+                            ("both", ["--jobs", "2", "--workers", "2"])):
+            assert main(argv + flags + ["--cache-dir", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_adaptive_conflicts_with_publish(self, tmp_path, capsys):
         code = main(["sweep", "taylor-green", "--param", "tau=0.6,0.7,0.8",
                      "--steps", "10", "--adaptive", "steps_run",
-                     "--workers", "2", "--cache-dir", str(tmp_path)])
+                     "--publish", "--cache-dir", str(tmp_path)])
         assert code == 2
         assert "--adaptive" in capsys.readouterr().err
 

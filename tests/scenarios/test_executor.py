@@ -1,15 +1,17 @@
-"""SweepExecutor: parallel determinism, interruption, exact run counts."""
+"""The sweep engine's execution guarantees: worker-count determinism,
+interruption and resume, exact run counts, inline fallback."""
 
 import dataclasses
 
 import pytest
 
+from repro import api
 from repro.errors import ScenarioError
 from repro.scenarios import (
     ResultCache,
     Sweep,
-    SweepExecutor,
     SweepManifest,
+    SweepScheduler,
     get_case,
     steady_state,
 )
@@ -24,16 +26,22 @@ def make_sweep(taus=TAUS):
     )
 
 
+def run(sweep, cache_dir=None, workers=1, analyze=False, **kw):
+    return SweepScheduler(
+        sweep, cache_dir, workers=workers, analyze=analyze, **kw
+    ).run()
+
+
+class Interrupted(BaseException):
+    """A kill mid-sweep: not a variant failure, so nothing catches it."""
+
+
 class TestDeterminism:
     def test_jobs1_and_jobs4_bit_identical(self, tmp_path):
-        """The headline guarantee: sharding across 4 processes changes
-        nothing — same tables, same cache keys, same cache bytes."""
-        serial = SweepExecutor(
-            make_sweep(), jobs=1, cache_dir=tmp_path / "serial"
-        ).run(analyze=False)
-        parallel = SweepExecutor(
-            make_sweep(), jobs=4, cache_dir=tmp_path / "parallel"
-        ).run(analyze=False)
+        """The headline guarantee: four workers change nothing — same
+        tables, same cache keys, same cache bytes."""
+        serial = run(make_sweep(), tmp_path / "serial", workers=1)
+        parallel = run(make_sweep(), tmp_path / "parallel", workers=4)
 
         assert serial.to_table() == parallel.to_table()
         assert serial.to_csv() == parallel.to_csv()
@@ -48,20 +56,24 @@ class TestDeterminism:
             ).read_bytes()
 
     def test_uncached_parallel_matches_serial(self, tmp_path):
-        serial = SweepExecutor(make_sweep(TAUS[:2]), jobs=1).run(analyze=False)
-        parallel = SweepExecutor(make_sweep(TAUS[:2]), jobs=2).run(analyze=False)
+        serial = run(make_sweep(TAUS[:2]), workers=1)
+        parallel = run(make_sweep(TAUS[:2]), workers=2)
         assert serial.to_table() == parallel.to_table()
         for a, b in zip(serial.results, parallel.results):
             assert a.series == b.series
             assert a.metrics == b.metrics
 
     def test_timing_metrics_stripped_from_payloads(self, tmp_path):
-        result = SweepExecutor(
-            make_sweep(TAUS[:2]), jobs=1, cache_dir=tmp_path
-        ).run(analyze=False)
+        result = run(make_sweep(TAUS[:2]), tmp_path)
         for case_result in result.results:
             assert "mflups" not in case_result.metrics
             assert case_result.metrics["steps_run"] == 10
+
+    def test_inline_run_publishes_nothing(self, tmp_path):
+        """One worker means no fleet: no work order, no leases."""
+        run(make_sweep(TAUS[:2]), tmp_path, workers=1)
+        assert not (tmp_path / "queue.json").exists()
+        assert not (tmp_path / "leases").exists()
 
 
 class TestInterruptionAndResume:
@@ -75,15 +87,13 @@ class TestInterruptionAndResume:
 
         def crashing(task):
             if len(calls) == 2:
-                raise RuntimeError("simulated crash")
+                raise Interrupted("simulated crash")
             calls.append(task.fingerprint)
             return real(task)
 
         monkeypatch.setattr(executor_module, "_execute_variant", crashing)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
-                analyze=False
-            )
+        with pytest.raises(Interrupted, match="simulated crash"):
+            run(make_sweep(), tmp_path)
         assert len(ResultCache(tmp_path).keys()) == 2
         manifest = SweepManifest.load(tmp_path)
         assert sorted(manifest.completed) == sorted(calls)
@@ -96,9 +106,7 @@ class TestInterruptionAndResume:
             return real(task)
 
         monkeypatch.setattr(executor_module, "_execute_variant", counting)
-        result = SweepExecutor(
-            make_sweep(), jobs=1, cache_dir=tmp_path, resume=True
-        ).run(analyze=False)
+        result = run(make_sweep(), tmp_path, resume=True)
         assert len(executed) == 2
         assert sorted(executed) == sorted(manifest.missing())
         assert result.provenance.count("cached") == 2
@@ -107,77 +115,72 @@ class TestInterruptionAndResume:
         assert SweepManifest.load(tmp_path).complete
 
     def test_resumed_table_matches_uninterrupted_run(self, tmp_path):
-        uninterrupted = SweepExecutor(make_sweep(), jobs=1).run(analyze=False)
+        uninterrupted = run(make_sweep())
         # "Interrupt" by completing only the first two variants.
-        SweepExecutor(make_sweep(TAUS[:2]), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
-        resumed = SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        run(make_sweep(TAUS[:2]), tmp_path)
+        resumed = run(make_sweep(), tmp_path, workers=2)
         assert resumed.runs_executed == 2
-        assert resumed.provenance == ["cached", "cached", "run", "run"]
+        assert resumed.provenance[:2] == ["cached", "cached"]
+        # the two missing variants went to the fleet, which attributes
+        # them in the manifest of the full sweep
+        assert all(p.startswith("worker:w") for p in resumed.provenance[2:])
         assert resumed.to_table() == uninterrupted.to_table()
+        assert SweepManifest.load(tmp_path).complete
 
     def test_resume_without_manifest_errors(self, tmp_path):
         with pytest.raises(ScenarioError, match="nothing to resume"):
-            SweepExecutor(
-                make_sweep(), jobs=1, cache_dir=tmp_path, resume=True
-            ).run(analyze=False)
+            run(make_sweep(), tmp_path, resume=True)
 
     def test_resume_different_sweep_errors(self, tmp_path):
-        SweepExecutor(make_sweep(TAUS[:2]), jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        run(make_sweep(TAUS[:2]), tmp_path)
         other = Sweep(
             "taylor-green", {"tau": [0.66], "shape": [(8, 8, 4)]}, steps=10
         )
         with pytest.raises(ScenarioError, match="different"):
-            SweepExecutor(other, jobs=1, cache_dir=tmp_path, resume=True).run(
-                analyze=False
-            )
+            run(other, tmp_path, resume=True)
 
     def test_resume_requires_cache_dir(self):
         with pytest.raises(ScenarioError, match="cache directory"):
-            SweepExecutor(make_sweep(), resume=True)
+            SweepScheduler(make_sweep(), resume=True)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ScenarioError, match="jobs"):
-            SweepExecutor(make_sweep(), jobs=0)
+            api.run_sweep("taylor-green", {"tau": [0.7]}, jobs=0)
 
 
 class TestCaseRefPortability:
-    def test_registered_spec_object_pools_fine(self):
+    def test_registered_spec_object_runs_on_the_fleet(self, tmp_path):
         """A registered spec object resolves to its registry name, so
-        closure-valued fields (steady_state stops) don't hit pickle."""
+        closure-valued fields (steady_state stops) never have to cross
+        a process boundary: workers rebuild the case by name."""
         spec = get_case("poiseuille-channel")
         assert spec.stop_when is not None  # the hazardous field
         sweep = Sweep(spec, {"tau": [0.9, 1.0]}, steps=10)
-        result = SweepExecutor(sweep, jobs=2).run(analyze=False)
+        result = run(sweep, tmp_path, workers=2)
         assert result.runs_executed == 2
+        assert all(p.startswith("worker:w") for p in result.provenance)
         assert [r.metrics["steps_run"] for r in result.results] == [10, 10]
 
-    def test_unpicklable_spec_falls_back_to_serial(self):
-        """An unregistered spec holding a closure can't cross a process
-        boundary; jobs>1 silently degrades to the serial path."""
+    def test_unpublishable_spec_runs_inline(self, tmp_path):
+        """An unregistered spec holding a closure cannot be rebuilt by a
+        worker; jobs=2 then runs every variant inline, publishing
+        nothing, and the table is the one-worker table."""
         spec = dataclasses.replace(
             get_case("taylor-green"),
             name="tg-unregistered",
             stop_when=steady_state(lambda sim: 0.0),
         )
         sweep = Sweep(spec, {"tau": [0.6, 0.8], "shape": [(8, 8, 4)]}, steps=10)
-        executor = SweepExecutor(sweep, jobs=2)
-        tasks = {
-            0: executor_module._VariantTask(spec, (("tau", 0.6),), False, "f0"),
-            1: executor_module._VariantTask(spec, (("tau", 0.8),), False, "f1"),
-        }
-        assert not executor._use_pool(tasks)
-        result = executor.run(analyze=False)
-        assert result.runs_executed == 2
+        fleet = run(sweep, tmp_path / "fleet", workers=2)
+        assert fleet.provenance == ["run", "run"]
+        assert not (tmp_path / "fleet" / "queue.json").exists()
+        inline = run(sweep, tmp_path / "inline", workers=1)
+        assert fleet.to_table() == inline.to_table()
+        assert fleet.to_csv() == inline.to_csv()
 
     def test_unpicklable_override_value_falls_back_to_serial(self):
-        """Closure-valued sweep *parameters* must not crash the pool
-        path; they degrade to serial just like closure-bearing specs."""
+        """Closure-valued sweep *parameters* cannot be published; they
+        run inline just like closure-bearing specs."""
         sweep = Sweep(
             "taylor-green",
             {
@@ -186,8 +189,9 @@ class TestCaseRefPortability:
             },
             steps=10,
         )
-        result = SweepExecutor(sweep, jobs=4).run(analyze=False)
+        result = run(sweep, workers=4)
         assert result.runs_executed == 2
+        assert result.provenance == ["run", "run"]
         assert [r.metrics["steps_run"] for r in result.results] == [10, 10]
 
 
@@ -196,29 +200,23 @@ class TestAnalyzeFlagCaching:
         """Regression: a smoke sweep (analyze=False) must not poison
         the cache with vacuously-passing, metric-less payloads."""
         sweep = Sweep("taylor-green", {"tau": [0.7]}, steps=40)
-        smoke = SweepExecutor(sweep, jobs=1, cache_dir=tmp_path).run(
-            analyze=False
-        )
+        smoke = run(sweep, tmp_path, analyze=False)
         assert smoke.results[0].checks == {}
-        full = SweepExecutor(sweep, jobs=1, cache_dir=tmp_path).run(
-            analyze=True
-        )
+        full = run(sweep, tmp_path, analyze=True)
         assert full.runs_executed == 1  # cache miss: analyze differs
         assert "decay_error" in full.results[0].metrics
         assert full.results[0].checks  # real verdicts, not vacuous PASS
         # and the analyze=True entry now serves analyze=True warm runs
-        warm = SweepExecutor(sweep, jobs=1, cache_dir=tmp_path).run(
-            analyze=True
-        )
+        warm = run(sweep, tmp_path, analyze=True)
         assert warm.runs_executed == 0
 
 
 class TestSweepRunDelegation:
-    def test_sweep_run_routes_to_executor(self, tmp_path):
+    def test_sweep_run_routes_to_the_engine(self, tmp_path):
         result = make_sweep(TAUS[:2]).run(
             analyze=False, jobs=2, cache_dir=tmp_path
         )
-        assert result.provenance == ["run", "run"]
+        assert all(p.startswith("worker:w") for p in result.provenance)
         assert result.runs_executed == 2
         # Lean results: scalar outcomes only, no simulation attached.
         assert all(r.simulation is None for r in result.results)

@@ -176,14 +176,12 @@ class TestDistributedCases:
         """Measured slab throughput is wall-clock, so the executor must
         drop it (like `mflups`) or sweep tables lose byte-identity
         across --jobs and cache states."""
-        from repro.scenarios.executor import (
-            NONDETERMINISTIC_METRICS,
-            SweepExecutor,
-        )
+        from repro.scenarios import SweepScheduler
+        from repro.scenarios.executor import NONDETERMINISTIC_METRICS
 
         assert "distributed_mflups" in NONDETERMINISTIC_METRICS
         sweep = Sweep("scaling-study", {"dtype": ["float32"]}, steps=5)
-        result = SweepExecutor(sweep, cache_dir=tmp_path / "c").run()
+        result = SweepScheduler(sweep, tmp_path / "c").run()
         header = result.to_csv().splitlines()[0]
         assert "distributed_mflups" not in header
         assert "distributed_comm_bytes" in header

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import AdaptiveSampler, Sweep, SweepExecutor
+from repro.scenarios import AdaptiveSampler, Sweep, SweepScheduler
 from repro.scenarios.sampling import _Segment, coarse_axis_indices
 
 GRID = {"tau": [0.55, 0.6, 0.7, 0.8, 0.95], "steps": [10, 20, 30]}
@@ -54,9 +54,9 @@ class TestTwoParameterAcceptance:
         assert sampled.grid_total == 15
         assert len(sampled.results) < sampled.grid_total
 
-        exhaustive = SweepExecutor(
-            Sweep("taylor-green", GRID), jobs=1
-        ).run(analyze=False)
+        exhaustive = SweepScheduler(
+            Sweep("taylor-green", GRID), analyze=False
+        ).run()
         by_fp_exhaustive = dict(
             zip(exhaustive.fingerprints, exhaustive.rows()[1])
         )
@@ -79,9 +79,9 @@ class TestTwoParameterAcceptance:
         assert warm.to_table() == cold.to_table()
 
     def test_adaptive_over_exhaustive_cache_is_all_cached(self, tmp_path):
-        SweepExecutor(
-            Sweep("taylor-green", GRID), jobs=1, cache_dir=tmp_path
-        ).run(analyze=False)
+        SweepScheduler(
+            Sweep("taylor-green", GRID), tmp_path, analyze=False
+        ).run()
         result = make_sampler(cache_dir=tmp_path).run(analyze=False)
         assert result.runs_executed == 0
 

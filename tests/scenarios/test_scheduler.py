@@ -1,6 +1,7 @@
 """Distributed sweep scheduler: leases, determinism, crash recovery."""
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -10,7 +11,6 @@ from repro.errors import ScenarioError
 from repro.scenarios import (
     ResultCache,
     Sweep,
-    SweepExecutor,
     SweepManifest,
     SweepScheduler,
     WorkQueue,
@@ -203,6 +203,43 @@ class TestWorkQueue:
         with pytest.raises(ScenarioError, match="corrupt work queue"):
             WorkQueue.load(tmp_path)
 
+    @pytest.mark.parametrize("second", ["publish", "append"])
+    def test_concurrent_queue_writers_never_collide(self, tmp_path, second):
+        """Two sweeps writing one directory's queue.json used to share a
+        fixed queue.json.tmp, so one writer's rename could take the
+        other's temp file away (FileNotFoundError).  Every write now
+        goes through its own temp file."""
+        plan = SweepPlan.of(make_sweep())
+        entries = [
+            ("taylor-green", overrides, fingerprint, None)
+            for overrides, fingerprint in zip(plan.overrides, plan.fingerprints)
+        ]
+        writers = {
+            "publish": lambda: WorkQueue.publish(tmp_path, plan, analyze=False),
+            "append": lambda: WorkQueue.append(tmp_path, entries, analyze=False),
+        }
+        errors = []
+
+        def hammer(write):
+            try:
+                for _ in range(200):
+                    write()
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(writers[name],))
+            for name in ("publish", second)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        queue = WorkQueue.load(tmp_path)
+        assert [item.fingerprint for item in queue.items] == plan.fingerprints
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_unregistered_case_rejected(self, tmp_path):
         import dataclasses
 
@@ -215,11 +252,9 @@ class TestWorkQueue:
 class TestDistributedDeterminism:
     def test_workers1_workers4_and_warm_bit_identical(self, tmp_path):
         """The headline guarantee extended to distributed execution:
-        serial executor, 1 worker, 4 workers and a warm replay emit
+        an inline run, 1 worker, 4 workers and a warm replay emit
         the same tables and the same cache bytes."""
-        serial = SweepExecutor(
-            make_sweep(), jobs=1, cache_dir=tmp_path / "serial"
-        ).run(analyze=True)
+        serial = SweepScheduler(make_sweep(), tmp_path / "serial", workers=0).run()
         one = SweepScheduler(make_sweep(), tmp_path / "w1", workers=1).run()
         four = SweepScheduler(make_sweep(), tmp_path / "w4", workers=4).run()
         warm = SweepScheduler(make_sweep(), tmp_path / "w4", workers=4).run()
@@ -245,8 +280,8 @@ class TestDistributedDeterminism:
     def test_scheduler_without_workers_runs_inline(self, tmp_path):
         result = SweepScheduler(make_sweep(TAUS[:2]), tmp_path, workers=0).run()
         assert result.provenance == ["run", "run"]
-        assert result.to_table() == SweepExecutor(
-            make_sweep(TAUS[:2]), jobs=1
+        assert result.to_table() == SweepScheduler(
+            make_sweep(TAUS[:2])
         ).run().to_table()
 
     def test_invalid_workers_rejected(self, tmp_path):
@@ -305,8 +340,8 @@ class TestWorkerLoop:
         assert rescuer.reclaimed == [victim]
         assert rescuer.completed == [victim]
 
-        merged = scheduler.collect(plan)
-        reference = SweepExecutor(make_sweep(), jobs=1).run()
+        merged = scheduler.collect()
+        reference = SweepScheduler(make_sweep()).run()
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
 
@@ -400,7 +435,8 @@ class TestCostAwarePacking:
         self, tmp_path, calibrated
     ):
         sweep = self.ladder_sweep()
-        packed = SweepScheduler(sweep, tmp_path / "cache", workers=1).run()
-        reference = SweepExecutor(sweep, jobs=1).run()
+        packed = SweepScheduler(sweep, tmp_path / "cache", workers=2).run()
+        assert all(p.startswith("worker:w") for p in packed.provenance)
+        reference = SweepScheduler(sweep).run()
         assert packed.to_table() == reference.to_table()
         assert packed.to_csv() == reference.to_csv()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import LeaseBoard, Sweep, SweepExecutor, sweep_status
+from repro.scenarios import LeaseBoard, Sweep, SweepScheduler, sweep_status
 from repro.scenarios.cli import main as cli_main
 
 
@@ -11,7 +11,7 @@ from repro.scenarios.cli import main as cli_main
 def finished_sweep_dir(tmp_path):
     cache_dir = tmp_path / "cache"
     sweep = Sweep("taylor-green", {"tau": [0.7, 0.8]}, steps=10)
-    SweepExecutor(sweep, cache_dir=cache_dir).run()
+    SweepScheduler(sweep, cache_dir).run()
     return cache_dir
 
 

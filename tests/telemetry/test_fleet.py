@@ -9,7 +9,6 @@ import pytest
 
 from repro.scenarios import (
     Sweep,
-    SweepExecutor,
     SweepScheduler,
     sweep_status,
 )
@@ -31,8 +30,11 @@ class TestMultiWorkerMerge:
         assert result.passed
 
         aggregate = load_run(tmp_path)
-        # one exclusively-owned file per launched worker, no torn lines
-        assert len(aggregate.files) == 2
+        # one exclusively-owned file per launched worker plus the
+        # engine's own (its cache probes), no torn lines
+        assert len(aggregate.files) == 3
+        workers = [f for f in aggregate.files if f.name.startswith(("w1-", "w2-"))]
+        assert len(workers) == 2
         assert aggregate.dropped == 0
         # every variant executed exactly once, fleet-wide
         counters = aggregate.counters
@@ -51,29 +53,31 @@ class TestMultiWorkerMerge:
         assert sum(w.variants for w in stats.values()) == 3
         assert set(stats) <= {"w1", "w2"}
 
-    def test_executor_pool_children_write_own_files(self, tmp_path):
+    def test_forked_workers_write_own_files(self, tmp_path):
         telemetry_dir = tmp_path / "telemetry"
-        result = SweepExecutor(
+        result = SweepScheduler(
             make_sweep(),
-            jobs=2,
-            cache_dir=tmp_path,
+            tmp_path,
+            workers=2,
+            analyze=False,
             telemetry_dir=telemetry_dir,
-        ).run(analyze=False)
+        ).run()
         assert result.runs_executed == 3
         aggregate = load_run(tmp_path)
         assert aggregate.dropped == 0
         assert aggregate.counters["variant.completed"] == 3
-        # pool children forked from the parent must not share its file
+        # workers forked from the parent must not share its file
         assert len(aggregate.files) >= 2
 
-    def test_warm_executor_counts_cached_variants(self, tmp_path):
+    def test_warm_replay_counts_cached_variants(self, tmp_path):
         telemetry_dir = tmp_path / "telemetry"
-        SweepExecutor(make_sweep(), cache_dir=tmp_path).run(analyze=False)
-        warm = SweepExecutor(
+        SweepScheduler(make_sweep(), tmp_path, analyze=False).run()
+        warm = SweepScheduler(
             make_sweep(),
-            cache_dir=tmp_path,
+            tmp_path,
+            analyze=False,
             telemetry_dir=telemetry_dir,
-        ).run(analyze=False)
+        ).run()
         assert warm.runs_executed == 0
         aggregate = load_run(tmp_path)
         assert aggregate.counters["variant.cached"] == 3
@@ -153,9 +157,7 @@ class TestStatusRollup:
         assert "MFLUP/s" in summary
 
     def test_status_without_telemetry_stays_bare(self, tmp_path):
-        SweepExecutor(make_sweep((0.7,)), cache_dir=tmp_path).run(
-            analyze=False
-        )
+        SweepScheduler(make_sweep((0.7,)), tmp_path, analyze=False).run()
         status = sweep_status(tmp_path)
         assert status.telemetry is None
         assert status.to_payload()["telemetry"] is None
@@ -166,9 +168,7 @@ class TestStatusRollup:
 def test_telemetry_never_changes_the_table(tmp_path, workers):
     """Observation is not perturbation at the sweep level either: the
     data columns are byte-identical with and without telemetry."""
-    plain = SweepExecutor(make_sweep(), cache_dir=tmp_path / "a").run(
-        analyze=False
-    )
+    plain = SweepScheduler(make_sweep(), tmp_path / "a", analyze=False).run()
     instrumented = SweepScheduler(
         make_sweep(),
         tmp_path / "b",
