@@ -21,6 +21,13 @@ Bounce-back walls can be folded into the gather table and Guo forcing
 into the collision, which makes the plan the driver's one stepping
 engine for forced, walled flows as well.
 
+With the compiled loop of :mod:`repro.core.native` loaded, the plan
+runs each collision (and, in :meth:`KernelPlan.step_to`, the gather
+too) as one pass of that loop instead of the ufunc sequence.  The loop
+repeats :meth:`KernelPlan.collide_into` operation for operation, so
+both produce the same bytes; the numpy passes stay as the fallback and
+the oracle.
+
 The plan also carries the **dtype policy**: built for float32, the
 whole update runs in single precision, halving the paper's
 bytes-per-cell figure B(Q) — the knob its roofline model (Table II)
@@ -36,6 +43,7 @@ engine (:func:`resolve_kernel_name`): nothing is timed to resolve it.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -230,7 +238,6 @@ class KernelPlan:
             self._soa_index = None
         # Constant tables, cast once (velocities_as caches per lattice).
         self.c = lattice.velocities_as(self.dtype)  # (Q, D)
-        self.c_t = np.ascontiguousarray(self.c.T)  # (D, Q)
         self.w = lattice.weights_as(self.dtype)  # (Q,)
         # Scratch arena: the only memory the per-step update ever writes
         # besides the caller's field itself.  The post-streaming buffer
@@ -251,20 +258,17 @@ class KernelPlan:
         self.term = np.empty(n, dtype=self.dtype)  # feq_i, one velocity
         self.tmp = np.empty(n, dtype=self.dtype)  # per-cell scratch
         self._u_rows = tuple(self.u[a] for a in range(lattice.dim))
-        # c_i . u as (u row, component) pairs over the non-zero
-        # components, split into (first, rest), so the per-velocity dot
-        # product is one or two same-shape ufunc calls (or none: a lone
-        # +1 component reads its u row directly).
-        self._cu_terms = tuple(
-            (terms[0], terms[1:]) if terms else None
-            for terms in (
-                tuple(
-                    (self._u_rows[a], float(c[a]))
-                    for a in range(lattice.dim)
-                    if c[a] != 0
-                )
-                for c in lattice.velocities
+        # Per velocity, (u row, component) pairs over the non-zero
+        # components of c_i: the moment sum adds f_i into those rows,
+        # and c_i . u is one or two same-shape ufunc calls over them (or
+        # none: a lone +1 component reads its u row directly).
+        self._c_terms = tuple(
+            tuple(
+                (self._u_rows[a], float(c[a]))
+                for a in range(lattice.dim)
+                if c[a] != 0
             )
+            for c in lattice.velocities
         )
         # Guo forcing: one extra per-cell row for u.F, plus per-axis force
         # scalars cast once.
@@ -277,7 +281,7 @@ class KernelPlan:
             self.uF = np.empty(n, dtype=self.dtype)
             # Zero components add nothing; skipping them skips their passes.
             self._force_axes = tuple(
-                (self._u_rows[a], _as_scalar(force[a], self.dtype),
+                (a, self._u_rows[a], _as_scalar(force[a], self.dtype),
                  _as_scalar(0.5 * force[a], self.dtype))
                 for a in range(lattice.dim)
                 if force[a] != 0.0
@@ -285,6 +289,15 @@ class KernelPlan:
         # omega-dependent per-velocity constants (see _constants).
         self._omega: float | None = None
         self._consts: tuple = ()
+        # The compiled loop (repro.core.native) runs every pass once its
+        # library is loaded; a cached build is loaded here, at plan time.
+        from . import native
+
+        self._native = native
+        self._fits_native = q <= native.MAX_Q and lattice.dim <= native.MAX_DIM
+        self._params: np.ndarray | None = None
+        self._gather_ptr: int | None = None
+        native.ensure()
 
     @classmethod
     def for_window(
@@ -368,8 +381,14 @@ class KernelPlan:
         permutation (bytes unchanged), so both layouts produce identical
         populations per dtype; the extra pass is the layout's genuine,
         measurable scatter cost.
+
+        With the compiled loop loaded, one pass writes either layout
+        directly (same bytes).
         """
-        if self.layout == LAYOUT_AOS:
+        lib = self._library()
+        if lib is not None:
+            self._compiled(lib, src, None, out, *self._out_strides(), omega)
+        elif self.layout == LAYOUT_AOS:
             self.collide_into(src, self._aos_out, omega)
             np.take(
                 self._aos_out_flat,
@@ -420,11 +439,23 @@ class KernelPlan:
         forced = self.forcing is not None
         gamma, consts = self._constants(omega)
 
-        # moments: rho = sum_i f_i ; u = (c^T f [+ F/2]) / rho
+        # moments: rho = sum_i f_i ; u = (sum_i c_i f_i [+ F/2]) / rho,
+        # both summed velocity by velocity in order (numpy's axis-0 sum
+        # is sequential), exactly as the compiled loop sums them; a BLAS
+        # dot for u would round differently.
         src.sum(axis=0, out=rho)
-        np.dot(self.c_t, src, out=u)
+        u.fill(0.0)
+        for f_i, terms in zip(src, self._c_terms):
+            for u_row, c in terms:
+                if c == 1.0:
+                    u_row += f_i
+                elif c == -1.0:
+                    u_row -= f_i
+                else:
+                    np.multiply(f_i, c, out=tmp)
+                    u_row += tmp
         if forced:
-            for u_row, _, half in self._force_axes:
+            for _, u_row, _, half in self._force_axes:
                 u_row += half
         for u_row in self._u_rows:  # u /= rho without broadcast buffering
             u_row /= rho
@@ -432,7 +463,7 @@ class KernelPlan:
             # gamma u.F, the part of -k_i u.F that rides the feq weight
             uF = self.uF
             uF.fill(0.0)
-            for u_row, force, _ in self._force_axes:
+            for _, u_row, force, _ in self._force_axes:
                 np.multiply(u_row, force, out=tmp)
                 uF += tmp
             uF *= gamma
@@ -513,7 +544,8 @@ class KernelPlan:
         per velocity, ``(cu terms, omega w_i, s_cu, s_0)`` with the Guo
         source coefficients ``s_cu = k_i cF_i / cs2`` and
         ``s_0 = k_i cF_i`` (both zero without forcing or where
-        ``c_i . F = 0``).  Rebuilt only when ``omega`` changes.
+        ``c_i . F = 0``).  Rebuilt only when ``omega`` changes, together
+        with the same constants packed for the compiled loop.
         """
         if omega != self._omega:
             q = self.lattice.q
@@ -524,17 +556,109 @@ class KernelPlan:
                 k, cF = self.forcing.source_coefficients(omega)
             rows = tuple(
                 (
-                    self._cu_terms[i],
+                    (terms[0], terms[1:]) if terms else None,
                     _as_scalar(omega * self.lattice.weights[i], self.dtype),
                     _as_scalar(k[i] * cF[i] / cs2, self.dtype),
                     _as_scalar(k[i] * cF[i], self.dtype),
                 )
-                for i in range(q)
+                for i, terms in enumerate(self._c_terms)
             )
-            gamma = (1.0 - 0.5 * omega) / (omega * cs2)
-            self._consts = (_as_scalar(gamma, self.dtype), rows)
+            gamma = _as_scalar((1.0 - 0.5 * omega) / (omega * cs2), self.dtype)
+            self._consts = (gamma, rows)
+            self._params = self._pack_params(omega, gamma, rows)
             self._omega = omega
         return self._consts
+
+    def _pack_params(self, omega: float, gamma: float, rows: tuple) -> np.ndarray:
+        """The constants of :meth:`collide_into` as the compiled loop's
+        ``p`` array (layout: the ``P_*`` offsets of ``repro.core.native``),
+        each the same Python float the numpy plan multiplies by."""
+        nat = self._native
+        q, d = self.lattice.q, self.lattice.dim
+        inv_cs2 = 1.0 / self.lattice.cs2_float
+        half_inv2 = 0.5 * inv_cs2 * inv_cs2
+        p = np.zeros(nat.P_C + q * d + 3 * q)
+        p[nat.P_ONE_MINUS] = 1.0 - omega
+        p[nat.P_INV_CS2] = inv_cs2
+        p[nat.P_HALF_INV2] = half_inv2
+        p[nat.P_A3] = inv_cs2 * half_inv2 / 3.0
+        p[nat.P_NEG_HALF_INV2] = -half_inv2
+        p[nat.P_CELL_SCALE] = -0.5 * inv_cs2
+        p[nat.P_GAMMA] = gamma
+        if self.forcing is not None:
+            p[nat.P_NFORCE] = len(self._force_axes)
+            for j, (a, _, force, half) in enumerate(self._force_axes):
+                p[nat.P_FORCE + 3 * j : nat.P_FORCE + 3 * j + 3] = (a, force, half)
+        p[nat.P_C : nat.P_C + q * d] = self.lattice.velocities.ravel()
+        p[nat.P_C + q * d :] = [value for row in rows for value in row[1:]]
+        return p
+
+    # -- the compiled loop (repro.core.native) -------------------------
+
+    def _library(self):
+        """The loaded compiled loop, when its buffers fit this lattice."""
+        return self._native.lib if self._fits_native else None
+
+    def _out_strides(self) -> tuple[int, int]:
+        """``(out_i, out_x)`` element strides of a layout-native field."""
+        if self.layout == LAYOUT_AOS:
+            return 1, self.lattice.q
+        return self.num_cells, 1
+
+    def _compiled(
+        self,
+        lib,
+        src: np.ndarray,
+        gather: np.ndarray | None,
+        out: np.ndarray,
+        out_i: int,
+        out_x: int,
+        omega: float,
+        offset: int = 0,
+    ) -> None:
+        """One pass of the compiled loop: collide ``src`` (post-streaming
+        ``(Q, N)`` rows; or, with ``gather``, the flat buffer the table
+        pulls from) into ``out`` at element ``offset`` with strides
+        ``(out_i, out_x)``.
+
+        The loop trusts its pointers, so dtype, contiguity and extent
+        are checked here: a mismatch raises instead of touching memory
+        outside the arrays.
+        """
+        q, n = self.lattice.q, self.num_cells
+        src_size = q * (n if gather is None else math.prod(self.source_shape))
+        if not (
+            src.dtype == out.dtype == self.dtype
+            and src.size == src_size
+            and (src.flags.c_contiguous if gather is None else _dense(src))
+            and _dense(out)
+            and offset + (q - 1) * out_i + (n - 1) * out_x < out.size
+        ):
+            raise LatticeError(
+                f"compiled pass: {src.dtype.name} {src.shape} -> "
+                f"{out.dtype.name} {out.shape} does not match the "
+                f"{self.dtype.name} plan for {self.shape}"
+            )
+        self._constants(omega)
+        if gather is None:
+            gather_ptr = None
+        else:
+            if self._gather_ptr is None:
+                self._gather_ptr = self.gather.ctypes.data
+            gather_ptr = self._gather_ptr
+        lib.collide[self.dtype](
+            src.ctypes.data,
+            gather_ptr,
+            n,
+            n,
+            out.ctypes.data + offset * self.dtype.itemsize,
+            out_i,
+            out_x,
+            q,
+            self.lattice.dim,
+            self.order,
+            self._params.ctypes.data,
+        )
 
     def step_into(self, f: np.ndarray, omega: float) -> np.ndarray:
         """One fused stream+collide step, result written back into ``f``."""
@@ -542,6 +666,51 @@ class KernelPlan:
         self.stream_into(f, adv_flat)
         self.collide_native(adv, f, omega)
         return f
+
+    def step_to(self, f: np.ndarray, out: np.ndarray, omega: float) -> np.ndarray:
+        """One stream+collide step from ``f`` into a second field ``out``.
+
+        Both are layout-native logical arrays and must not overlap.  With
+        the compiled loop loaded this is its single fused pass (the pull
+        gather rides the collision); otherwise it is the numpy gather
+        and collision, with the same bytes.
+        """
+        lib = self._library()
+        if lib is not None:
+            self._compiled(lib, f, self.gather, out, *self._out_strides(), omega)
+        elif self.layout == LAYOUT_AOS:
+            adv, adv_flat = self._fused_buffers()
+            self.stream_into(f, adv_flat)
+            self.collide_native(adv, out, omega)
+        else:
+            flat = out.reshape(self.lattice.q, -1)
+            self.stream_into(f, flat)
+            self.collide_into(flat, flat, omega)
+        return out
+
+    def collide_window(self, src: np.ndarray, padded: np.ndarray, omega: float) -> None:
+        """Collide a window plan's streamed ``src`` into its x-window of
+        the C-contiguous halo-padded array ``padded``.
+
+        The compiled loop writes the window in place (its cells are one
+        contiguous run per velocity); the numpy plan relaxes ``src`` in
+        place and copies it into the window.
+        """
+        lib = self._library()
+        if lib is not None:
+            plane = math.prod(self.source_shape[1:])
+            n_pad = self.source_shape[0] * plane
+            offset = self.window.start * plane
+            self._compiled(lib, src, None, padded, n_pad, 1, omega, offset)
+        else:
+            self.collide_into(src, src, omega)
+            padded[:, self.window] = src.reshape(self.lattice.q, *self.shape)
+
+
+def _dense(a: np.ndarray) -> bool:
+    """Whether ``a`` is one contiguous buffer starting at its data
+    pointer: C order, or a velocity-major view of a cell-major array."""
+    return a.flags.c_contiguous or np.moveaxis(a, 0, -1).flags.c_contiguous
 
 
 def _as_scalar(value: float, dtype: np.dtype) -> float:
@@ -582,6 +751,10 @@ class PlannedKernel(LBMKernel):
         self.walls: tuple[BounceBackWalls, ...] = ()
         self.forcing: GuoForcing | None = None
         self._plan: KernelPlan | None = None
+        from . import native
+
+        #: The compiled-loop module (:mod:`repro.core.native`) its plans run.
+        self.native = native
         if shape is not None:
             self.plan_for(shape)
 
@@ -660,6 +833,13 @@ class PlannedKernel(LBMKernel):
         self._check_soa(out)
         self.plan_for(f.shape[1:]).stream_into(f, out)
         return out
+
+    def stream_collide(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Stream+collide ``f`` into a second layout-native field ``out``
+        (:meth:`KernelPlan.step_to`: one fused pass when compiled)."""
+        self._check_input(f)
+        self._check_input(out)
+        return self.plan_for(f.shape[1:]).step_to(f, out, self.collision.omega)
 
     def collide(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Planned collision from SoA ``f`` into layout-native ``out``."""

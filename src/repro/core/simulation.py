@@ -20,6 +20,7 @@ walls and Guo forcing so a forced, walled step allocates nothing.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from typing import Callable, Sequence
 
@@ -36,7 +37,45 @@ from .kernels import LBMKernel
 from .moments import macroscopic
 from .streaming import stream_periodic
 
-__all__ = ["Simulation", "StepTimings"]
+__all__ = ["MASS_DRIFT_RTOL", "Simulation", "StepTimings", "check_physical"]
+
+#: Relative drift of the total mass, against the state a checked run
+#: started from, that a stability check accepts per population dtype.
+#: Every registered case stays within 1e-13 (float64) and 1.2e-5
+#: (float32) over its full run; the bounds leave a wide margin, so they
+#: only catch a run that has left the physical regime.
+MASS_DRIFT_RTOL = {np.dtype(np.float64): 1e-6, np.dtype(np.float32): 1e-3}
+
+
+def check_physical(
+    lattice: VelocitySet, f: np.ndarray, mass_ref: float, where: str
+) -> None:
+    """Raise :class:`StabilityError` unless velocity-major populations
+    ``f`` (``(Q, N)``) are finite, below the sound speed everywhere and
+    within :data:`MASS_DRIFT_RTOL` of the reference mass ``mass_ref``.
+
+    A finite total implies finite populations, so the mass sum doubles
+    as the non-finite check.  ``where`` names the run in the message.
+    """
+    rho = f.sum(axis=0)
+    mass = float(rho.sum())
+    if not math.isfinite(mass):
+        raise StabilityError(f"non-finite populations {where}")
+    rtol = MASS_DRIFT_RTOL[f.dtype]
+    drift = abs(mass - mass_ref) / (abs(mass_ref) or 1.0)
+    if not drift <= rtol:
+        raise StabilityError(
+            f"total mass drifted by {drift:.3g} (relative; limit {rtol:g} "
+            f"for {f.dtype.name}) {where}"
+        )
+    momentum = lattice.velocities_as(f.dtype).T @ f
+    speed2 = np.einsum("an,an->n", momentum, momentum) / (rho * rho)
+    cs = math.sqrt(lattice.cs2_float)
+    top = math.sqrt(float(speed2.max()))
+    if not top < cs:
+        raise StabilityError(
+            f"max |u| = {top:.3g} reached the sound speed c_s = {cs:.3g} {where}"
+        )
 
 
 class StepTimings:
@@ -187,6 +226,17 @@ class Simulation:
             self.collision = collision
         if forcing is not None and not isinstance(self.collision, BGKCollision):
             raise NotImplementedError("forcing is only coupled to BGK collisions")
+        #: The compiled-loop module when the kernel is the planned engine
+        #: (its runs count toward the compile rule), else None.
+        self._native = getattr(self.kernel, "native", None)
+        #: True when one fused stream+collide pass into the second
+        #: buffer can replace stream, boundaries, collide.
+        self._fusable = (
+            self._native is not None
+            and not self.operators
+            and self.layout == LAYOUT_SOA
+            and (forcing is None or self._fused_forcing)
+        )
         # The persistent field carries the layout; the advection scratch
         # stays SoA under either layout (the kernel streams AoS -> SoA
         # and scatters back after collision), so boundary conditions see
@@ -198,6 +248,9 @@ class Simulation:
         self.time_step = 0
         self.timings = StepTimings()
         self.telemetry = get_telemetry() if telemetry is None else telemetry
+        #: Total mass the physical-validity check measures drift against
+        #: (taken when the first checked run starts).
+        self._mass_ref: float | None = None
 
     # -- setup ------------------------------------------------------------
 
@@ -219,6 +272,7 @@ class Simulation:
         self._adv = DistributionField.zeros(self.lattice, self.shape, dtype=self.dtype)
         self.time_step = 0
         self.timings = StepTimings()
+        self._mass_ref = None
 
     # -- observables --------------------------------------------------------
 
@@ -264,9 +318,24 @@ class Simulation:
         self.forcing.collide(self.collision, f, out)
 
     def step(self) -> None:
-        """Advance one time step: stream, boundaries, collide."""
+        """Advance one time step: stream, boundaries, collide.
+
+        With the compiled loop loaded and no boundary operator between
+        streaming and collision, the step is one fused pass into the
+        second buffer, which then becomes the field (booked as collide
+        time, as the sparse driver books its fused step).
+        """
         f_old = self.field.data
         f_new = self._adv.data
+
+        if self._fusable and self._native.lib is not None:
+            t0 = time.perf_counter()
+            self.kernel.stream_collide(f_old, f_new)
+            self.field, self._adv = self._adv, self.field
+            self.time_step += 1
+            self.timings.steps += 1
+            self.timings.collide_seconds += time.perf_counter() - t0
+            return
 
         t0 = time.perf_counter()
         if self.kernel is not None:
@@ -303,59 +372,87 @@ class Simulation:
             Callback invoked every ``monitor_every`` steps with the
             simulation (after the step).
         check_stability_every:
-            If positive, verify all populations are finite at that period
-            and raise :class:`StabilityError` otherwise.
+            If positive, check the physical validity of the populations
+            at that period (:func:`check_physical`: finite, every speed
+            below c_s, total mass within :data:`MASS_DRIFT_RTOL` of the
+            first checked state) and raise :class:`StabilityError`
+            otherwise.
 
         With an enabled recorder, one span per phase is emitted for the
         steps this call actually ran (sourced from the :class:`StepTimings`
         deltas, so the hot :meth:`step` path carries no telemetry code
-        and its zero-allocation guarantee is untouched).
+        and its zero-allocation guarantee is untouched).  On the planned
+        engine the compiled loop is loaded (or built, once this process
+        has stepped enough on the numpy fallback) before the first step.
         """
-        # With stability checking on, a diverging run's last step computes
-        # moments of already non-finite populations before _check_finite
-        # can raise; silence numpy's invalid/overflow warnings for that
-        # window so divergence is reported once, as StabilityError.
-        numeric_guard = (
-            np.errstate(invalid="ignore", over="ignore")
-            if check_stability_every
-            else contextlib.nullcontext()
-        )
-        if not self.telemetry.enabled:
-            with numeric_guard:
-                for n in range(steps):
-                    self.step()
-                    if monitor is not None and (n + 1) % monitor_every == 0:
-                        monitor(self)
-                    if check_stability_every and (n + 1) % check_stability_every == 0:
-                        self._check_finite()
-            return
-        t = self.timings
-        base = (t.stream_seconds, t.collide_seconds, t.boundary_seconds, t.steps)
-        try:
-            with numeric_guard:
-                for n in range(steps):
-                    self.step()
-                    if monitor is not None and (n + 1) % monitor_every == 0:
-                        monitor(self)
-                    if check_stability_every and (n + 1) % check_stability_every == 0:
-                        self._check_finite()
-        finally:
-            done = t.steps - base[3]
-            if done:
-                self.telemetry.record_span(
-                    "phase.stream", t.stream_seconds - base[0], rank=0, steps=done
-                )
-                self.telemetry.record_span(
-                    "phase.collide", t.collide_seconds - base[1], rank=0, steps=done
-                )
-                self.telemetry.record_span(
-                    "phase.boundary", t.boundary_seconds - base[2], rank=0, steps=done
-                )
+        drive(self, steps, monitor, monitor_every, check_stability_every)
 
-    def _check_finite(self) -> None:
-        if not self.field.is_finite():
-            raise StabilityError(
-                f"non-finite populations at step {self.time_step} "
-                f"(tau={getattr(self.collision, 'tau', '?')}, "
-                f"lattice={self.lattice.name})"
-            )
+    def populations(self) -> np.ndarray:
+        """The current populations as a velocity-major ``(Q, N)`` array
+        (a copy under ``layout="aos"``, see :attr:`f`)."""
+        return self.f.reshape(self.lattice.q, -1)
+
+    def describe_state(self) -> str:
+        """Where the run stands, for error messages."""
+        return (
+            f"at step {self.time_step} "
+            f"(tau={getattr(self.collision, 'tau', '?')}, "
+            f"lattice={self.lattice.name})"
+        )
+
+
+def drive(
+    sim,
+    steps: int,
+    monitor: "Callable | None",
+    monitor_every: int,
+    check_stability_every: int,
+) -> None:
+    """The stepping loop shared by the dense and sparse drivers' ``run``.
+
+    Outside the loop it loads (or, past the work threshold, builds) the
+    compiled loop for planned engines, takes the mass reference of the
+    first checked run, counts fallback cell updates toward the compile
+    rule, and emits one ``phase.*`` span per phase from the
+    :class:`StepTimings` deltas when the recorder is enabled.
+    """
+    # With stability checking on, a diverging run's last step computes
+    # moments of already non-finite populations before the check can
+    # raise; silence numpy's invalid/overflow warnings for that window
+    # so divergence is reported once, as StabilityError.
+    numeric_guard = (
+        np.errstate(invalid="ignore", over="ignore", divide="ignore")
+        if check_stability_every
+        else contextlib.nullcontext()
+    )
+    native = sim._native
+    if native is not None:
+        native.ensure()
+    if check_stability_every and sim._mass_ref is None:
+        sim._mass_ref = float(sim.populations().sum())
+    t = sim.timings
+    base = (t.stream_seconds, t.collide_seconds, t.boundary_seconds, t.steps)
+    try:
+        with numeric_guard:
+            for n in range(steps):
+                sim.step()
+                if monitor is not None and (n + 1) % monitor_every == 0:
+                    monitor(sim)
+                if check_stability_every and (n + 1) % check_stability_every == 0:
+                    check_physical(
+                        sim.lattice,
+                        sim.populations(),
+                        sim._mass_ref,
+                        sim.describe_state(),
+                    )
+    finally:
+        done = t.steps - base[3]
+        if native is not None and native.lib is None:
+            native.note_fallback(done * sim.num_cells)
+        if done and sim.telemetry.enabled:
+            for phase, seconds in (
+                ("stream", t.stream_seconds - base[0]),
+                ("collide", t.collide_seconds - base[1]),
+                ("boundary", t.boundary_seconds - base[2]),
+            ):
+                sim.telemetry.record_span(f"phase.{phase}", seconds, rank=0, steps=done)

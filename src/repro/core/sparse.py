@@ -43,15 +43,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import LatticeError, StabilityError
+from ..errors import LatticeError
 from ..lattice import VelocitySet, get_lattice
+from ..telemetry.recorder import NullTelemetry, Telemetry, get_telemetry
 from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
 from .forcing import GuoForcing
 from .moments import density, momentum
 from .plan import KERNELS, KernelPlan, resolve_kernel_name
-from .simulation import StepTimings
+from .simulation import StepTimings, drive
 
 __all__ = [
     "SPARSE_KERNELS",
@@ -234,6 +235,8 @@ class PlannedSparseKernel(_SparseKernel):
             gather=build_sparse_gather_table(domain),
             forcing=forcing,
         )
+        #: The compiled-loop module (:mod:`repro.core.native`) the plan runs.
+        self.native = self.plan._native
 
     def _check_input(self, f: np.ndarray) -> None:
         if f.dtype != self.dtype:
@@ -313,7 +316,9 @@ class SparseSimulation:
     oracle).  ``force`` is a
     constant body force with Guo coupling, the same second-order scheme
     (and, on the planned kernel, the same plan code) as the dense
-    driver's :class:`~repro.core.forcing.GuoForcing`.
+    driver's :class:`~repro.core.forcing.GuoForcing`.  ``telemetry``
+    works as on the dense driver: with an enabled recorder, :meth:`run`
+    emits ``phase.*`` spans from the :class:`StepTimings` deltas.
     """
 
     def __init__(
@@ -325,6 +330,7 @@ class SparseSimulation:
         force: Sequence[float] | None = None,
         dtype: "np.dtype | str | None" = None,
         kernel: "str | _SparseKernel | None" = None,
+        telemetry: "Telemetry | NullTelemetry | None" = None,
     ) -> None:
         self.lattice = get_lattice(lattice) if isinstance(lattice, str) else lattice
         if self.lattice.max_displacement != 1:
@@ -351,6 +357,14 @@ class SparseSimulation:
         self.f = np.zeros((self.lattice.q, self.domain.num_fluid), dtype=self.dtype)
         self.time_step = 0
         self.timings = StepTimings()
+        self.telemetry = get_telemetry() if telemetry is None else telemetry
+        self._mass_ref: float | None = None
+        #: The compiled-loop module on the planned kernel (see Simulation).
+        self._native = getattr(self.kernel, "native", None)
+
+    def set_telemetry(self, telemetry: "Telemetry | NullTelemetry") -> None:
+        """Install a structured-event recorder on this simulation."""
+        self.telemetry = telemetry
 
     # -- setup ------------------------------------------------------------
 
@@ -375,6 +389,7 @@ class SparseSimulation:
         )
         self.time_step = 0
         self.timings = StepTimings()
+        self._mass_ref = None
 
     # -- stepping ------------------------------------------------------------
 
@@ -395,29 +410,21 @@ class SparseSimulation:
         monitor_every: int = 1,
         check_stability_every: int = 0,
     ) -> None:
-        """Run ``steps`` updates (same contract as the dense driver)."""
-        import contextlib
+        """Run ``steps`` updates (same contract as the dense driver,
+        :meth:`~repro.core.simulation.Simulation.run`: physical-validity
+        checks, the compiled-loop rule and ``phase.*`` spans)."""
+        drive(self, steps, monitor, monitor_every, check_stability_every)
 
-        numeric_guard = (
-            np.errstate(invalid="ignore", over="ignore")
-            if check_stability_every
-            else contextlib.nullcontext()
+    def populations(self) -> np.ndarray:
+        """The ``(Q, N_fluid)`` populations."""
+        return self.f
+
+    def describe_state(self) -> str:
+        """Where the run stands, for error messages."""
+        return (
+            f"at step {self.time_step} (tau={self.collision.tau}, "
+            f"lattice={self.lattice.name}, sparse domain)"
         )
-        with numeric_guard:
-            for n in range(steps):
-                self.step()
-                if monitor is not None and (n + 1) % monitor_every == 0:
-                    monitor(self)
-                if check_stability_every and (n + 1) % check_stability_every == 0:
-                    self._check_finite()
-
-    def _check_finite(self) -> None:
-        if not np.isfinite(self.f).all():
-            raise StabilityError(
-                f"non-finite populations at step {self.time_step} "
-                f"(tau={self.collision.tau}, lattice={self.lattice.name}, "
-                "sparse domain)"
-            )
 
     # -- observables --------------------------------------------------------------
 

@@ -17,7 +17,9 @@ may legally compute a window that shrinks by ``k`` planes per side.  A
   relax update, run entirely through ``out=`` ufunc calls.
 
 One step is then gather -> collide-in-arena -> one strided write-back of
-the window into the slab's padded array: zero per-step heap allocations
+the window into the slab's padded array (with the compiled loop of
+:mod:`repro.core.native` loaded, the collision writes the window
+directly, with the same bytes): zero per-step heap allocations
 (tracemalloc-asserted in the tests), where the legacy pair
 (:func:`~repro.core.streaming.stream_padded` +
 :class:`~repro.core.collision.BGKCollision.apply`) allocates several
@@ -69,8 +71,12 @@ class PlannedSlabKernel:
     Each validity level owns an independent arena (``depth`` arenas per
     geometry).  Sharing one max-window arena across levels would shave
     that factor but requires carving every buffer from a flat pool to
-    keep the BLAS-facing views contiguous; with the paper's depths of
+    keep the per-window views contiguous; with the paper's depths of
     1-4 the simpler layout costs a few window-sized buffers.
+
+    The moments are summed cell by cell in velocity order, so every
+    window computes the same bytes as the single-domain engine: the
+    slab path matches it bit for bit.
     """
 
     name = "planned"
@@ -95,10 +101,8 @@ class PlannedSlabKernel:
         # macro-cycle computes x in [width - v, width + local_nx + v) with
         # v = width - s*k, down to the bare interior at v = 0.
         self._plans: dict[int, KernelPlan] = {}
-        #: (adv_2d, adv_4d) per validity level — the fused buffer plus a
-        #: prebuilt reshaped view, so the hot loop performs no per-step
-        #: reshape bookkeeping.
-        self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: The streamed (Q, N_window) buffer per validity level.
+        self._adv: dict[int, np.ndarray] = {}
         for s in range(1, spec.depth + 1):
             v = spec.width - s * spec.k
             window = slice(spec.width - v, spec.width + local_nx + v)
@@ -109,9 +113,8 @@ class PlannedSlabKernel:
                 order=self.collision.order,
                 dtype=self.dtype,
             )
-            adv, _ = plan._fused_buffers()
             self._plans[v] = plan
-            self._views[v] = (adv, adv.reshape(lattice.q, *plan.shape))
+            self._adv[v], _ = plan._fused_buffers()
 
     @property
     def nbytes(self) -> int:
@@ -150,12 +153,9 @@ class PlannedSlabKernel:
         """
         plan = self._plan_for(slab)
         slab.consume_step()
-        adv, adv_4d = self._views[slab.validity]
+        adv = self._adv[slab.validity]
         plan.stream_into(slab.data, adv)
-        # In-place relax is aliasing-safe: collide_into reads src only
-        # for the moments, before the first write to out.
-        plan.collide_into(adv, adv, self.collision.omega)
-        slab.data[:, plan.window] = adv_4d
+        plan.collide_window(adv, slab.data, self.collision.omega)
 
     def timed_step(
         self, slab: HaloSlab, clock: Callable[[], float] = time.perf_counter
@@ -168,11 +168,10 @@ class PlannedSlabKernel:
         """
         plan = self._plan_for(slab)
         slab.consume_step()
-        adv, adv_4d = self._views[slab.validity]
+        adv = self._adv[slab.validity]
         t0 = clock()
         plan.stream_into(slab.data, adv)
         t1 = clock()
-        plan.collide_into(adv, adv, self.collision.omega)
-        slab.data[:, plan.window] = adv_4d
+        plan.collide_window(adv, slab.data, self.collision.omega)
         t2 = clock()
         return t1 - t0, t2 - t1

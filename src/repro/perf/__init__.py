@@ -1,45 +1,61 @@
-"""Performance engine: metrics, cost model, optimization ladder, tuning."""
+"""Performance engine: metrics, cost model, optimization ladder, tuning.
 
-from .ablation import (
-    AblationResult,
-    ablate_depth_consolidation,
-    ablate_gc_split_overlap,
-    ablate_simd_lanes,
-    run_all_ablations,
-)
-from .cost_model import CostModel, Placement, StepBreakdown, Workload
-from .event_sim import CommSimResult, simulate_comm_times
-from .hybrid_model import HybridSweepPoint, best_point, sweep_hybrid
-from .metrics import mflups, parallel_efficiency, runtime_for_mflups, speedup
-from .model import (
-    FittedPerfModel,
-    MeasuredSample,
-    ModelEntry,
-    Prediction,
-    calibration_path,
-    fit_samples,
-    load_calibration,
-    samples_from_bench,
-    save_calibration,
-)
-from .noise import JitterModel
-from .optimization import (
-    LADDER,
-    LevelEffect,
-    OptimizationLevel,
-    base_params,
-    effect_note,
-    ladder_states,
-)
-from .params import CodeParams
-from .scaling import ScalingPoint, strong_scaling, weak_scaling
-from .tuner import (
-    DepthSweepResult,
-    depth_table,
-    optimal_depth,
-    sweep_ghost_depth,
-    tuned_params_for_depth_study,
-)
+Names load on first access (PEP 562): ``from repro.perf import CostModel``
+imports only the cost model, and ``repro.perf.model`` (the calibration a
+``--jobs N`` sweep reads for its cost stamps) loads without the rest.
+"""
+
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
+#: Public name -> the submodule that defines it.
+_NAMES = {
+    "AblationResult": "ablation",
+    "ablate_depth_consolidation": "ablation",
+    "ablate_gc_split_overlap": "ablation",
+    "ablate_simd_lanes": "ablation",
+    "run_all_ablations": "ablation",
+    "CostModel": "cost_model",
+    "Placement": "cost_model",
+    "StepBreakdown": "cost_model",
+    "Workload": "cost_model",
+    "CommSimResult": "event_sim",
+    "simulate_comm_times": "event_sim",
+    "HybridSweepPoint": "hybrid_model",
+    "best_point": "hybrid_model",
+    "sweep_hybrid": "hybrid_model",
+    "mflups": "metrics",
+    "parallel_efficiency": "metrics",
+    "runtime_for_mflups": "metrics",
+    "speedup": "metrics",
+    "FittedPerfModel": "model",
+    "MeasuredSample": "model",
+    "ModelEntry": "model",
+    "Prediction": "model",
+    "calibration_path": "model",
+    "fit_samples": "model",
+    "load_calibration": "model",
+    "samples_from_bench": "model",
+    "save_calibration": "model",
+    "JitterModel": "noise",
+    "LADDER": "optimization",
+    "LevelEffect": "optimization",
+    "OptimizationLevel": "optimization",
+    "base_params": "optimization",
+    "effect_note": "optimization",
+    "ladder_states": "optimization",
+    "CodeParams": "params",
+    "ScalingPoint": "scaling",
+    "strong_scaling": "scaling",
+    "weak_scaling": "scaling",
+    "DepthSweepResult": "tuner",
+    "depth_table": "tuner",
+    "optimal_depth": "tuner",
+    "sweep_ghost_depth": "tuner",
+    "tuned_params_for_depth_study": "tuner",
+}
 
 __all__ = [
     "ablate_depth_consolidation",
@@ -86,3 +102,11 @@ __all__ = [
     "strong_scaling",
     "weak_scaling",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _NAMES:
+        value = getattr(importlib.import_module(f".{_NAMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

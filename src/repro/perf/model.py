@@ -49,6 +49,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..core.kernel_cache import KERNEL_CACHE_ENV, kernel_cache_dir
 from ..errors import ReproError
 from ..lattice import available_lattices, get_lattice
 from ..machine.roofline import bytes_per_cell, sparse_bytes_per_cell
@@ -63,6 +64,7 @@ __all__ = [
     "fit",
     "fit_samples",
     "load_calibration",
+    "KERNEL_CACHE_ENV",
     "kernel_cache_dir",
     "samples_from_bench",
     "save_calibration",
@@ -535,25 +537,6 @@ class FittedPerfModel:
 
 def _host_slug(host: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "-" for c in host) or "unknown"
-
-
-#: Environment variable overriding the calibration root.
-KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE_DIR"
-
-
-def kernel_cache_dir() -> Path:
-    """The root calibrations live under (in its ``perf-model/``).
-
-    ``$REPRO_KERNEL_CACHE_DIR`` when set, else the conventional
-    per-user cache location (``$XDG_CACHE_HOME``/``~/.cache``) under
-    ``repro/kernel-auto`` — the directory name calibrations have
-    always been persisted in, kept so existing fits stay found.
-    """
-    override = os.environ.get(KERNEL_CACHE_ENV)
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or (Path.home() / ".cache")
-    return Path(base) / "repro" / "kernel-auto"
 
 
 def calibration_path(host: str | None = None) -> Path:

@@ -45,8 +45,12 @@ logger = logging.getLogger(__name__)
 #: specs whose fingerprint does not: version 2 marks the switch of the
 #: default engine (``kernel=None``) from the legacy roll pair to the
 #: planned kernel with fused walls and forcing, whose bits differ by
-#: rounding.  An entry of another version is a miss and re-runs.
-_ENTRY_VERSION = 2
+#: rounding; version 3 marks the planned engine's switch from a BLAS
+#: dot to sequential per-velocity sums for the velocity moment (the
+#: order the compiled loop shares), which moves D3Q39 populations by a
+#: few ulp (D3Q15/19/27 are unchanged).  An entry of another version is
+#: a miss and re-runs.
+_ENTRY_VERSION = 3
 
 #: Name of the distributed work order file (written by
 #: :class:`repro.scenarios.scheduler.WorkQueue`); reserved alongside the
@@ -102,7 +106,7 @@ class ResultCache:
 
     Each entry lives at ``<root>/<fingerprint>.json`` as::
 
-        {"version": 2, "fingerprint": ..., "checksum": ..., "data": {...}}
+        {"version": 3, "fingerprint": ..., "checksum": ..., "data": {...}}
 
     where ``data`` holds the serialisable outcome payload and
     ``checksum`` is the SHA-256 of its canonical JSON.  :meth:`get`

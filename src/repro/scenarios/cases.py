@@ -716,10 +716,6 @@ DEEP_HALO = register_case(
         lattice="D3Q39",
         shape=(36, 5, 5),
         tau=0.8,
-        # The legacy pair on both sides keeps the comparison bit-exact:
-        # the planned slab kernel agrees with the planned single-domain
-        # engine only to rounding (its BLAS moments run per window).
-        kernel="roll",
         initial=_shear_initial,
         steps=8,
         monitor_every=4,

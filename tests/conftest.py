@@ -27,6 +27,17 @@ def _isolated_kernel_cache(tmp_path_factory):
         os.environ["REPRO_KERNEL_CACHE_DIR"] = old
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _compiled_loop(_isolated_kernel_cache):
+    """Build the compiled stream+collide loop up front, so the suite runs
+    the planned engine on it (the numpy plan when no compiler works, as
+    under ``CC=false``).  Subprocesses inherit the cache directory and
+    load the same build."""
+    from repro.core import native
+
+    return native.build()
+
+
 @pytest.fixture(params=["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
 def lattice(request):
     """Every registered lattice."""

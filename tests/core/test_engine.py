@@ -148,7 +148,11 @@ class TestForcedWalledEngine:
         sim = self._build(q19, "float64")
         sim.run(5)
         assert sim.operators == []
-        assert sim.timings.boundary_seconds < 0.1 * sim.timings.stream_seconds
+        if sim._native.lib is not None:
+            # one fused pass per step, booked whole as collide time
+            assert sim.timings.boundary_seconds == 0.0 == sim.timings.stream_seconds
+        else:
+            assert sim.timings.boundary_seconds < 0.1 * sim.timings.stream_seconds
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_warm_step_allocates_nothing(self, dtype):

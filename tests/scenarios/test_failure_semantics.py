@@ -172,3 +172,26 @@ def test_jobs_telemetry_per_worker_files_and_warm_counts(tmp_path):
     counters = load_run(warm_dir).counters
     assert counters["variant.cached"] == counters["cache.hit"] == len(TAUS)
     assert "variant.completed" not in counters
+
+
+def test_unphysical_variant_is_quarantined_not_cached(tmp_path):
+    """A ``u0=5`` taylor-green variant (far above the sound speed) stays
+    finite for a while; the validity guard turns it into a quarantined
+    FAILED row instead of a cached, tabulated result."""
+    result = api.run_sweep(
+        CASE,
+        {"u0": [1e-3, 5.0]},
+        steps=STEPS,
+        cache_dir=tmp_path,
+        max_attempts=ATTEMPTS,
+    )
+    assert result.failed_count == 1
+    assert result.provenance[1] == "failed" and result.results[1].failed
+    assert not result.results[0].failed
+    record = FailureLedger(tmp_path).record(result.fingerprints[1])
+    assert record is not None and record.quarantined
+    assert {a.exception for a in record.attempts} == {"StabilityError"}
+    assert "sound speed" in record.attempts[0].message
+    keys = api.open_cache(tmp_path).keys()
+    assert result.fingerprints[0] in keys
+    assert result.fingerprints[1] not in keys

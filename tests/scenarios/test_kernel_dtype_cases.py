@@ -143,7 +143,7 @@ class TestDistributedCases:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {},
+            {"kernel": "roll"},
             {"kernel": "planned", "dtype": "float32"},
         ],
         ids=["legacy-float64", "planned-float32"],
@@ -154,6 +154,16 @@ class TestDistributedCases:
         # the functional-equivalence metric is dtype-tolerance bounded
         tol = 1e-13 if result.spec.dtype == "float64" else 2e-5
         assert result.metrics["halo_error_depth2"] < tol
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lattice", ["D3Q19", "D3Q39"])
+    def test_deep_halo_planned_slab_is_bit_exact(self, lattice, dtype):
+        """Moments summed cell by cell make every slab window compute
+        the single-domain engine's bytes, at any ghost depth."""
+        result = run_case("deep-halo-tuning", lattice=lattice, dtype=dtype)
+        assert result.spec.planned
+        assert result.metrics["halo_error_depth1"] == 0.0
+        assert result.metrics["halo_error_depth2"] == 0.0
 
     def test_scaling_study_distributed_metrics(self):
         result = run_case(

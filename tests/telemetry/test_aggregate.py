@@ -110,6 +110,52 @@ class TestSingleDomainSpans:
         assert steps == [2, 3]
 
 
+class TestSparseSpans:
+    """The sparse driver emits the dense driver's phase spans, sourced
+    from its StepTimings deltas; observation does not perturb results."""
+
+    @staticmethod
+    def _sim(telemetry=None):
+        from repro.core.sparse import SparseSimulation
+
+        mask = np.zeros((8, 6, 4), dtype=bool)
+        mask[:, 0, :] = mask[:, -1, :] = True
+        sim = SparseSimulation(
+            "D3Q19", mask, tau=0.8, force=(1e-5, 0.0, 0.0), telemetry=telemetry
+        )
+        sim.initialize(1.0)
+        return sim
+
+    def test_run_emits_per_phase_spans(self, tmp_path):
+        recorder = Telemetry.to_dir(tmp_path, process="sparse")
+        sim = self._sim(recorder)
+        sim.run(4)
+        sim.run(3)
+        recorder.flush()
+
+        aggregate = load_run(tmp_path)
+        for phase in ("stream", "collide", "boundary"):
+            spans = aggregate.spans(f"phase.{phase}")
+            assert [span["attrs"] for span in spans] == [
+                {"rank": 0, "steps": 4},
+                {"rank": 0, "steps": 3},
+            ]
+        seconds = aggregate.phase_seconds()
+        assert seconds["collide"] == pytest.approx(sim.timings.collide_seconds)
+        assert seconds["collide"] > 0.0
+        assert seconds["stream"] == seconds["boundary"] == 0.0
+
+    def test_observed_run_matches_unobserved(self):
+        recorder = Telemetry.in_memory()
+        observed, plain = self._sim(recorder), self._sim()
+        observed.run(6)
+        plain.run(6)
+        names = [e["name"] for e in recorder.events() if e["name"] != "meta"]
+        assert names == ["phase.stream", "phase.collide", "phase.boundary"]
+        assert np.array_equal(observed.f, plain.f)
+        assert not plain.telemetry.enabled
+
+
 class TestKernelAutoEvents:
     def test_auto_emits_what_planned_emits(self):
         """'auto' is resolved by name, so it leaves no selection trace:

@@ -3,9 +3,9 @@
 ``repro/__init__`` resolves its subpackages lazily and ``python -m
 repro`` imports the paper experiments only for experiment commands, so
 the scenario API and CLI never load the paper-model subpackages
-(``experiments``, ``machine``, ``parallel``, ``perf``).  Each check
-runs in a fresh interpreter, because this test process has long since
-imported everything.
+(``experiments``, ``machine``, ``parallel``, ``perf``), nor the
+compiled-loop loader.  Each check runs in a fresh interpreter, because
+this test process has long since imported everything.
 """
 
 import os
@@ -13,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -59,6 +61,28 @@ def test_cases_command_skips_the_paper_model():
     modules = _run("-m", "repro", "cases")
     assert "repro.scenarios.cli" in modules
     assert _paper_model(modules) == []
+
+
+@pytest.fixture(scope="module")
+def numpy_modules():
+    return _run("-c", "import numpy")
+
+
+@pytest.mark.parametrize(
+    "args", [("-c", "import repro.api"), ("-m", "repro", "cases")], ids=["api", "cases"]
+)
+def test_startup_skips_the_compiled_loop(args, numpy_modules):
+    """The compiled-loop loader and ctypes load on the first plan, not at
+    start-up (numpy may import ctypes itself; repro adds nothing)."""
+    modules = _run(*args)
+    assert "repro.core.native" not in modules
+    assert "ctypes" not in modules - numpy_modules
+
+
+def test_perf_model_loads_without_the_rest_of_perf():
+    modules = _run("-c", "import repro.perf.model")
+    perf = {name for name in modules if name.startswith("repro.perf")}
+    assert perf == {"repro.perf", "repro.perf.model"}
 
 
 def test_lazy_package_still_resolves_every_name():
