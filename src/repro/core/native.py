@@ -88,8 +88,8 @@ class Library:
         dll = ctypes.CDLL(str(path))
         ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
         self.collide = {}
-        for name, dtype in (("lbm_collide_f64", np.float64), ("lbm_collide_f32", np.float32)):
-            fn = getattr(dll, name)
+        for dtype in (np.float64, np.float32):
+            fn = getattr(dll, f"lbm_collide_f{np.dtype(dtype).itemsize * 8}")
             # (src, gather, n, src_i, out, out_i, out_x, q, d, order, p)
             fn.argtypes = (ptr, ptr, i64, i64, ptr, i64, i64, i32, i32, i32, ptr)
             fn.restype = None
@@ -157,13 +157,13 @@ def build() -> "Library | None":
     with _lock:
         if lib is not None or _build_failed:
             return lib
-        path = library_path()
-        if not path.exists():
-            try:
+        try:
+            path = library_path()
+            if not path.exists():
                 _compile(path)
-            except (OSError, subprocess.SubprocessError):
-                _build_failed = True
-                return None
+        except (OSError, subprocess.SubprocessError):
+            _build_failed = True
+            return None
         return _load(path)
 
 
@@ -175,9 +175,15 @@ def ensure() -> "Library | None":
     the drivers before stepping and by plan construction, never from a
     step.
     """
+    global _build_failed
     if lib is not None or _build_failed:
         return lib
-    if _fallback_updates >= COMPILE_AFTER_UPDATES or library_path().exists():
+    try:
+        cached = library_path().exists()
+    except OSError:  # source not installed, or the cache is unreadable
+        _build_failed = True
+        return None
+    if cached or _fallback_updates >= COMPILE_AFTER_UPDATES:
         return build()
     return None
 

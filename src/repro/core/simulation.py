@@ -285,6 +285,10 @@ class Simulation:
         checkpoints must reduce over identical bytes in identical order
         for the layouts' results to stay byte-identical, and whole-array
         reductions on a strided view may legally reorder.
+
+        Read it afresh after stepping: the fused step swaps the field
+        with the driver's second buffer, so an array held across
+        :meth:`step` may be the spare one.
         """
         if self.layout == LAYOUT_SOA:
             return self.field.data

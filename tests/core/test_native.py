@@ -98,7 +98,9 @@ class TestCollide:
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name,order", ORDER_CASES)
-    def test_matches_numpy_plan(self, lib, numpy_plan, name, order, dtype, forced, layout):
+    def test_matches_numpy_plan(
+        self, lib, numpy_plan, name, order, dtype, forced, layout
+    ):
         lattice = get_lattice(name)
         forcing = GuoForcing(lattice, FORCE) if forced else None
         plan = KernelPlan(
@@ -130,7 +132,9 @@ class TestDenseStep:
     @pytest.mark.parametrize("layout", ["soa", "aos"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", LATTICES)
-    def test_fused_and_split_match_numpy(self, lib, numpy_plan, name, dtype, layout, walls):
+    def test_fused_and_split_match_numpy(
+        self, lib, numpy_plan, name, dtype, layout, walls
+    ):
         """The fused gather+collide pass, the in-place step (gather, then
         the compiled collide) and the numpy split path agree."""
         lattice = get_lattice(name)
@@ -198,7 +202,9 @@ class TestSlabWindow:
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", ["D3Q19", "D3Q39"])
-    def test_windows_match_numpy_and_single_domain(self, lib, numpy_plan, name, dtype, depth):
+    def test_windows_match_numpy_and_single_domain(
+        self, lib, numpy_plan, name, dtype, depth
+    ):
         shape = (24, 4, 3)
         lattice = get_lattice(name)
         rng = np.random.default_rng(2)
@@ -317,6 +323,12 @@ class TestLoader:
         sim.initialize(1.0, np.zeros((3, 4, 4, 4)))
         sim.run(3)
         assert sim.timings.stream_seconds > 0.0  # the numpy split path
+
+
+    def test_missing_source_means_fallback(self, fresh, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "SOURCE", tmp_path / "absent.c")
+        assert native.ensure() is None and native._build_failed
+        KernelPlan(get_lattice("D3Q19"), (4, 4, 4))  # plans still build
 
 
 class TestPassValidation:
