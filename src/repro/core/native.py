@@ -27,8 +27,12 @@ When it compiles
     step: a library already cached is always loaded (:func:`ensure`);
     a process compiles only after it has stepped
     :data:`COMPILE_AFTER_UPDATES` cell updates on the numpy fallback
-    (the drivers report them through :func:`note_fallback`).  A failed
-    compile (no compiler, ``CC=false``) is not retried in the process.
+    (the drivers report them through :func:`note_fallback`).  That
+    compile runs on a background thread and the library is swapped in
+    when it is ready, so no run waits for it; until then the numpy
+    fallback steps on, with the same bytes.  A failed compile (no
+    compiler, ``CC=false``) is not retried in the process.  A forked
+    child starts over: no build in flight and no fallback updates.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ _fallback_updates = 0
 _build_failed = False
 _digest: str | None = None
 _lock = threading.Lock()
+#: The background compile :func:`ensure` started, if any.
+_builder: threading.Thread | None = None
 
 
 class Library:
@@ -168,23 +174,28 @@ def build() -> "Library | None":
 
 
 def ensure() -> "Library | None":
-    """The library if it is loaded, cached, or due to be compiled.
+    """The library if it is loaded or cached, else None.
 
-    Loads a cached build; compiles one only after this process has
-    stepped :data:`COMPILE_AFTER_UPDATES` on the fallback.  Called by
-    the drivers before stepping and by plan construction, never from a
-    step.
+    Loads a cached build.  Once this process has stepped
+    :data:`COMPILE_AFTER_UPDATES` on the fallback, starts one
+    background :func:`build` (non-daemon, so the interpreter waits for
+    it rather than leave a half-written build behind) and returns
+    without waiting.  Called by the drivers before stepping and by plan
+    construction, never from a step.
     """
-    global _build_failed
-    if lib is not None or _build_failed:
+    global _build_failed, _builder
+    if lib is not None or _build_failed or _builder is not None:
         return lib
     try:
         cached = library_path().exists()
     except OSError:  # source not installed, or the cache is unreadable
         _build_failed = True
         return None
-    if cached or _fallback_updates >= COMPILE_AFTER_UPDATES:
+    if cached:
         return build()
+    if _fallback_updates >= COMPILE_AFTER_UPDATES:
+        _builder = threading.Thread(target=build, name="repro-native-build")
+        _builder.start()
     return None
 
 
@@ -192,3 +203,16 @@ def note_fallback(updates: int) -> None:
     """Count ``updates`` cell updates stepped on the numpy fallback."""
     global _fallback_updates
     _fallback_updates += int(updates)
+
+
+def _after_fork_in_child() -> None:
+    # The parent's build thread does not exist in the child (and may
+    # have held the lock); the child loads the parent's build from the
+    # cache once it lands, or earns its own compile.
+    global _builder, _lock, _fallback_updates
+    _builder = None
+    _lock = threading.Lock()
+    _fallback_updates = 0
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)

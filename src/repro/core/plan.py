@@ -168,6 +168,8 @@ class KernelPlan:
     :meth:`for_window` instead computes a movable x-window of a larger
     halo-padded array, gathering its sources from the padded array —
     the extension :class:`~repro.parallel.plan.PlannedSlabKernel` rides.
+    ``source_shape`` (default ``shape``) is the spatial shape of the
+    array an explicit ``gather`` table pulls from.
     """
 
     def __init__(
@@ -180,6 +182,7 @@ class KernelPlan:
         layout: str | None = None,
         walls: "Sequence[BounceBackWalls]" = (),
         forcing: "GuoForcing | None" = None,
+        source_shape: Sequence[int] | None = None,
     ) -> None:
         self.lattice = lattice
         self.shape = tuple(int(s) for s in shape)
@@ -200,7 +203,9 @@ class KernelPlan:
         self.window: slice | None = None
         #: Spatial shape of the streaming *source* array (== shape for
         #: periodic plans; the padded shape for window plans).
-        self.source_shape: tuple[int, ...] = self.shape
+        self.source_shape: tuple[int, ...] = (
+            self.shape if source_shape is None else tuple(int(s) for s in source_shape)
+        )
         if gather is None:
             builder = (
                 build_aos_gather_table
@@ -291,12 +296,10 @@ class KernelPlan:
         self._consts: tuple = ()
         # The compiled loop (repro.core.native) runs every pass once its
         # library is loaded; a cached build is loaded here, at plan time.
-        from . import native
-
-        self._native = native
+        native = _load_native()
         self._fits_native = q <= native.MAX_Q and lattice.dim <= native.MAX_DIM
         self._params: np.ndarray | None = None
-        self._gather_ptr: int | None = None
+        self._gather_ptr = self._checked_gather()
         native.ensure()
 
     @classmethod
@@ -325,9 +328,9 @@ class KernelPlan:
             order=order,
             dtype=dtype,
             gather=build_slab_gather_table(lattice, padded_shape, window),
+            source_shape=padded_shape,
         )
         plan.window = slice(start, stop)
-        plan.source_shape = padded_shape
         return plan
 
     @property
@@ -387,7 +390,7 @@ class KernelPlan:
         """
         lib = self._library()
         if lib is not None:
-            self._compiled(lib, src, None, out, *self._out_strides(), omega)
+            self._compiled(lib, src, False, out, *self._out_strides(), omega)
         elif self.layout == LAYOUT_AOS:
             self.collide_into(src, self._aos_out, omega)
             np.take(
@@ -573,7 +576,7 @@ class KernelPlan:
         """The constants of :meth:`collide_into` as the compiled loop's
         ``p`` array (layout: the ``P_*`` offsets of ``repro.core.native``),
         each the same Python float the numpy plan multiplies by."""
-        nat = self._native
+        nat = _native
         q, d = self.lattice.q, self.lattice.dim
         inv_cs2 = 1.0 / self.lattice.cs2_float
         half_inv2 = 0.5 * inv_cs2 * inv_cs2
@@ -597,7 +600,34 @@ class KernelPlan:
 
     def _library(self):
         """The loaded compiled loop, when its buffers fit this lattice."""
-        return self._native.lib if self._fits_native else None
+        return _native.lib if self._fits_native else None
+
+    def _checked_gather(self) -> int | None:
+        """The gather table's address for the fused pass, or None when
+        the compiled loop may not read through it.
+
+        The loop reads ``src[gather[j]]`` unchecked (``np.take`` clips),
+        so the table must be C-contiguous int64 with Q*N entries, each in
+        ``[0, Q * prod(source_shape))``.  Checked once, at plan build;
+        a table that fails keeps the plan off the fused pass.
+        """
+        g = self.gather
+        q = self.lattice.q
+        if not (
+            isinstance(g, np.ndarray)
+            and g.dtype == np.int64
+            and g.flags.c_contiguous
+            and g.size == q * self.num_cells
+            and g.min() >= 0
+            and g.max() < q * math.prod(self.source_shape)
+        ):
+            return None
+        return g.ctypes.data
+
+    def fused_ready(self) -> bool:
+        """Whether :meth:`step_to` can run: the compiled loop is loaded
+        and the gather table passed :meth:`_checked_gather`."""
+        return self._gather_ptr is not None and self._library() is not None
 
     def _out_strides(self) -> tuple[int, int]:
         """``(out_i, out_x)`` element strides of a layout-native field."""
@@ -609,7 +639,7 @@ class KernelPlan:
         self,
         lib,
         src: np.ndarray,
-        gather: np.ndarray | None,
+        fused: bool,
         out: np.ndarray,
         out_i: int,
         out_x: int,
@@ -617,20 +647,20 @@ class KernelPlan:
         offset: int = 0,
     ) -> None:
         """One pass of the compiled loop: collide ``src`` (post-streaming
-        ``(Q, N)`` rows; or, with ``gather``, the flat buffer the table
+        ``(Q, N)`` rows; or, ``fused``, the flat buffer the gather table
         pulls from) into ``out`` at element ``offset`` with strides
         ``(out_i, out_x)``.
 
         The loop trusts its pointers, so dtype, contiguity and extent
-        are checked here: a mismatch raises instead of touching memory
-        outside the arrays.
+        are checked here (the gather table's at plan build): a mismatch
+        raises instead of touching memory outside the arrays.
         """
         q, n = self.lattice.q, self.num_cells
-        src_size = q * (n if gather is None else math.prod(self.source_shape))
+        src_size = q * (math.prod(self.source_shape) if fused else n)
         if not (
             src.dtype == out.dtype == self.dtype
             and src.size == src_size
-            and (src.flags.c_contiguous if gather is None else _dense(src))
+            and (_dense(src) if fused else src.flags.c_contiguous)
             and _dense(out)
             and offset + (q - 1) * out_i + (n - 1) * out_x < out.size
         ):
@@ -640,15 +670,9 @@ class KernelPlan:
                 f"{self.dtype.name} plan for {self.shape}"
             )
         self._constants(omega)
-        if gather is None:
-            gather_ptr = None
-        else:
-            if self._gather_ptr is None:
-                self._gather_ptr = self.gather.ctypes.data
-            gather_ptr = self._gather_ptr
         lib.collide[self.dtype](
             src.ctypes.data,
-            gather_ptr,
+            self._gather_ptr if fused else None,
             n,
             n,
             out.ctypes.data + offset * self.dtype.itemsize,
@@ -668,24 +692,20 @@ class KernelPlan:
         return f
 
     def step_to(self, f: np.ndarray, out: np.ndarray, omega: float) -> np.ndarray:
-        """One stream+collide step from ``f`` into a second field ``out``.
+        """One stream+collide step from ``f`` into a second field ``out``:
+        the compiled loop's single fused pass (the pull gather rides the
+        collision), with the bytes of :meth:`stream_into` followed by
+        :meth:`collide_native`.
 
-        Both are layout-native logical arrays and must not overlap.  With
-        the compiled loop loaded this is its single fused pass (the pull
-        gather rides the collision); otherwise it is the numpy gather
-        and collision, with the same bytes.
+        Both are layout-native logical arrays and must not overlap.
+        Raises :class:`LatticeError` unless :meth:`fused_ready`.
         """
-        lib = self._library()
-        if lib is not None:
-            self._compiled(lib, f, self.gather, out, *self._out_strides(), omega)
-        elif self.layout == LAYOUT_AOS:
-            adv, adv_flat = self._fused_buffers()
-            self.stream_into(f, adv_flat)
-            self.collide_native(adv, out, omega)
-        else:
-            flat = out.reshape(self.lattice.q, -1)
-            self.stream_into(f, flat)
-            self.collide_into(flat, flat, omega)
+        if not self.fused_ready():
+            raise LatticeError(
+                "fused pass: the compiled loop is not loaded or the gather "
+                "table is not one it may read (stream, then collide)"
+            )
+        self._compiled(self._library(), f, True, out, *self._out_strides(), omega)
         return out
 
     def collide_window(self, src: np.ndarray, padded: np.ndarray, omega: float) -> None:
@@ -701,10 +721,25 @@ class KernelPlan:
             plane = math.prod(self.source_shape[1:])
             n_pad = self.source_shape[0] * plane
             offset = self.window.start * plane
-            self._compiled(lib, src, None, padded, n_pad, 1, omega, offset)
+            self._compiled(lib, src, False, padded, n_pad, 1, omega, offset)
         else:
             self.collide_into(src, src, omega)
             padded[:, self.window] = src.reshape(self.lattice.q, *self.shape)
+
+
+#: :mod:`repro.core.native`, imported by the first plan built (so the
+#: loader and ctypes stay out of start-up); see :func:`_load_native`.
+_native = None
+
+
+def _load_native():
+    """Import the compiled-loop loader (once) and return it."""
+    global _native
+    if _native is None:
+        from . import native
+
+        _native = native
+    return _native
 
 
 def _dense(a: np.ndarray) -> bool:
@@ -751,10 +786,6 @@ class PlannedKernel(LBMKernel):
         self.walls: tuple[BounceBackWalls, ...] = ()
         self.forcing: GuoForcing | None = None
         self._plan: KernelPlan | None = None
-        from . import native
-
-        #: The compiled-loop module (:mod:`repro.core.native`) its plans run.
-        self.native = native
         if shape is not None:
             self.plan_for(shape)
 
@@ -833,13 +864,6 @@ class PlannedKernel(LBMKernel):
         self._check_soa(out)
         self.plan_for(f.shape[1:]).stream_into(f, out)
         return out
-
-    def stream_collide(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Stream+collide ``f`` into a second layout-native field ``out``
-        (:meth:`KernelPlan.step_to`: one fused pass when compiled)."""
-        self._check_input(f)
-        self._check_input(out)
-        return self.plan_for(f.shape[1:]).step_to(f, out, self.collision.omega)
 
     def collide(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Planned collision from SoA ``f`` into layout-native ``out``."""

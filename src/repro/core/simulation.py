@@ -191,6 +191,10 @@ class Simulation:
         self.operators = self.boundaries
         #: True when the kernel itself applies ``forcing``.
         self._fused_forcing = False
+        #: The planned engine's plan when one fused stream+collide pass
+        #: into the second buffer can replace stream, boundaries, collide
+        #: (it runs whenever the plan is ``fused_ready()``).
+        self._fused_plan = None
         if kernel is not None and collision is not None:
             raise LatticeError(
                 "kernel and collision are mutually exclusive: a kernel "
@@ -216,6 +220,13 @@ class Simulation:
                 walls, self.operators = split_foldable(self.boundaries)
                 self.kernel.fuse(walls=walls, forcing=forcing)
                 self._fused_forcing = forcing is not None
+            if (
+                isinstance(self.kernel, PlannedKernel)
+                and not self.operators
+                and self.layout == LAYOUT_SOA
+                and (forcing is None or self._fused_forcing)
+            ):
+                self._fused_plan = self.kernel.plan_for(self.shape)
         else:
             if self.layout != LAYOUT_SOA:
                 raise LatticeError(
@@ -226,17 +237,6 @@ class Simulation:
             self.collision = collision
         if forcing is not None and not isinstance(self.collision, BGKCollision):
             raise NotImplementedError("forcing is only coupled to BGK collisions")
-        #: The compiled-loop module when the kernel is the planned engine
-        #: (its runs count toward the compile rule), else None.
-        self._native = getattr(self.kernel, "native", None)
-        #: True when one fused stream+collide pass into the second
-        #: buffer can replace stream, boundaries, collide.
-        self._fusable = (
-            self._native is not None
-            and not self.operators
-            and self.layout == LAYOUT_SOA
-            and (forcing is None or self._fused_forcing)
-        )
         # The persistent field carries the layout; the advection scratch
         # stays SoA under either layout (the kernel streams AoS -> SoA
         # and scatters back after collision), so boundary conditions see
@@ -332,9 +332,10 @@ class Simulation:
         f_old = self.field.data
         f_new = self._adv.data
 
-        if self._fusable and self._native.lib is not None:
+        plan = self._fused_plan
+        if plan is not None and plan.fused_ready():
             t0 = time.perf_counter()
-            self.kernel.stream_collide(f_old, f_new)
+            plan.step_to(f_old, f_new, self.collision.omega)
             self.field, self._adv = self._adv, self.field
             self.time_step += 1
             self.timings.steps += 1
@@ -429,8 +430,13 @@ def drive(
         if check_stability_every
         else contextlib.nullcontext()
     )
-    native = sim._native
-    if native is not None:
+    from .plan import PlannedKernel
+    from .sparse import PlannedSparseKernel
+
+    native = None
+    if isinstance(sim.kernel, (PlannedKernel, PlannedSparseKernel)):
+        from . import native
+
         native.ensure()
     if check_stability_every and sim._mass_ref is None:
         sim._mass_ref = float(sim.populations().sum())

@@ -235,8 +235,6 @@ class PlannedSparseKernel(_SparseKernel):
             gather=build_sparse_gather_table(domain),
             forcing=forcing,
         )
-        #: The compiled-loop module (:mod:`repro.core.native`) the plan runs.
-        self.native = self.plan._native
 
     def _check_input(self, f: np.ndarray) -> None:
         if f.dtype != self.dtype:
@@ -359,8 +357,6 @@ class SparseSimulation:
         self.timings = StepTimings()
         self.telemetry = get_telemetry() if telemetry is None else telemetry
         self._mass_ref: float | None = None
-        #: The compiled-loop module on the planned kernel (see Simulation).
-        self._native = getattr(self.kernel, "native", None)
 
     def set_telemetry(self, telemetry: "Telemetry | NullTelemetry") -> None:
         """Install a structured-event recorder on this simulation."""

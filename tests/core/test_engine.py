@@ -148,7 +148,7 @@ class TestForcedWalledEngine:
         sim = self._build(q19, "float64")
         sim.run(5)
         assert sim.operators == []
-        if sim._native.lib is not None:
+        if sim._fused_plan is not None and sim._fused_plan.fused_ready():
             # one fused pass per step, booked whole as collide time
             assert sim.timings.boundary_seconds == 0.0 == sim.timings.stream_seconds
         else:

@@ -13,6 +13,7 @@ the suite runs on the fallback.
 """
 
 import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestDenseStep:
         f = _native_field(_populations(lattice, SHAPE, dtype), layout)
 
         fused = _native_field(np.zeros_like(f), layout)
-        kernel.stream_collide(f, fused)
+        kernel.plan_for(SHAPE).step_to(f, fused, kernel.collision.omega)
         in_place = _native_field(f, layout)
         kernel.step(in_place)
 
@@ -157,6 +158,8 @@ class TestDenseStep:
         kernel.collide(adv, out=split)
         assert np.array_equal(fused, split)
         assert np.array_equal(in_place, split)
+        with pytest.raises(LatticeError, match="fused pass"):  # no fallback
+            kernel.plan_for(SHAPE).step_to(f, fused, kernel.collision.omega)
 
     @pytest.mark.parametrize("case", ["artery-flow", "lid-driven-cavity"])
     def test_driver_runs_match(self, lib, numpy_plan, case):
@@ -164,7 +167,7 @@ class TestDenseStep:
         collide around a boundary operator (lid-driven-cavity)."""
         steps = 30
         compiled = api.run_case(case, steps=steps, analyze=False).result.simulation
-        assert compiled._fusable == (case == "artery-flow")
+        assert (compiled._fused_plan is not None) == (case == "artery-flow")
         numpy_plan()
         reference = api.run_case(case, steps=steps, analyze=False).result.simulation
         assert np.array_equal(compiled.f, reference.f)
@@ -255,7 +258,7 @@ class TestZeroAllocation:
             dtype=dtype,
         )
         sim.initialize(1.0, np.zeros((3, *shape)))
-        assert sim._fusable
+        assert sim._fused_plan.fused_ready()
         sim.step()
         tracemalloc.start()
         for _ in range(5):
@@ -276,6 +279,7 @@ class TestLoader:
         monkeypatch.setattr(native, "_build_failed", False)
         monkeypatch.setattr(native, "_fallback_updates", 0)
         monkeypatch.setattr(native, "_digest", None)
+        monkeypatch.setattr(native, "_builder", None)
         return tmp_path
 
     def test_cache_path_is_content_addressed(self, fresh):
@@ -284,10 +288,15 @@ class TestLoader:
         assert len(path.stem) == 64 and path.suffix == ".so"
 
     def test_compiles_only_after_the_work_threshold(self, lib, fresh, monkeypatch):
+        """Past the threshold the compile runs in the background: the
+        caller returns at once on the fallback and the library is
+        swapped in when the build lands."""
         builds = []
+        release = threading.Event()
 
         def fake_compile(path):
             builds.append(path)
+            assert release.wait(30)
             path.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(lib.path, path)
 
@@ -296,8 +305,23 @@ class TestLoader:
         native.note_fallback(native.COMPILE_AFTER_UPDATES - 1)
         assert native.ensure() is None and builds == []
         native.note_fallback(1)
-        assert native.ensure() is not None
+        assert native.ensure() is None  # returned while the build waits
+        builder = native._builder
+        assert builder is not None and builder.is_alive()
+        assert native.ensure() is None and builder is native._builder
+        release.set()
+        builder.join(30)
+        assert native.lib is not None and native.ensure() is native.lib
         assert builds == [native.library_path()]
+
+    def test_forked_child_starts_over(self, fresh, monkeypatch):
+        monkeypatch.setattr(native, "_lock", native._lock)
+        monkeypatch.setattr(native, "_builder", threading.Thread(target=int))
+        native.note_fallback(native.COMPILE_AFTER_UPDATES)
+        native._after_fork_in_child()
+        assert native._builder is None and native._fallback_updates == 0
+        assert native._lock.acquire(blocking=False)
+        native._lock.release()
 
     def test_small_runs_never_compile(self, fresh, monkeypatch):
         monkeypatch.setattr(native, "_compile", pytest.fail)
@@ -349,3 +373,29 @@ class TestPassValidation:
             with pytest.raises(LatticeError, match="compiled pass"):
                 plan.collide_native(bad_src, bad_out, 1.25)
         plan.collide_native(src, good, 1.25)
+
+    def test_unreadable_gather_tables_keep_the_fused_pass_off(self, lib, q19):
+        """The loop reads through the gather table unchecked, so only a
+        C-contiguous int64 table of in-range indices reaches it."""
+        table = PlannedKernel(q19, 0.8, shape=SHAPE).plan_for(SHAPE).gather
+        f = _populations(q19, SHAPE, "float64")
+        out = np.empty_like(f)
+        size = table.size
+        out_of_range = table.copy()
+        out_of_range[-1] = size
+        negative = table.copy()
+        negative[0] = -1
+        for bad in (
+            table.astype(np.int32),
+            np.repeat(table, 2)[::2],  # strided view
+            table[:-1],
+            out_of_range,
+            negative,
+        ):
+            plan = KernelPlan(q19, SHAPE, gather=bad)
+            assert not plan.fused_ready()
+            with pytest.raises(LatticeError, match="fused pass"):
+                plan.step_to(f, out, 1.25)
+        plan = KernelPlan(q19, SHAPE, gather=table.copy())
+        assert plan.fused_ready()
+        plan.step_to(f, out, 1.25)

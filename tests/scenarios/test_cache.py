@@ -263,10 +263,14 @@ class TestCacheLookup:
         path.write_text(json.dumps(envelope))
         assert cache.get("abc123") is None
         assert cache.lookup("abc123").status == "miss"
+        assert path.exists()  # left in place for put() to overwrite
+        assert cache.telemetry.counters == {"cache.miss": 1}
+        cache.put("abc123", PAYLOAD)
+        assert cache.lookup("abc123").hit
 
     def test_entry_of_version_2_is_a_miss(self, tmp_path):
         """Version 2 entries hold D3Q39 results from BLAS-dot moments,
-        a few ulp off the sequential sums every engine now shares."""
+        up to 1 ulp off the sequential sums every engine now shares."""
         from repro.scenarios.cache import _ENTRY_VERSION
 
         assert _ENTRY_VERSION == 3
